@@ -189,8 +189,17 @@ class GpuDevice:
         """Execute ``work`` and return its measurement."""
         return self._store.measure(work)
 
-    def run_batch(self, work: WorkBatch) -> BatchMeasurement:
-        """Execute a whole column of kernels in one vectorized call."""
+    def run_batch(
+        self, work: WorkBatch, *, memoize: bool = True
+    ) -> BatchMeasurement:
+        """Execute a whole column of kernels in one vectorized call.
+
+        ``memoize=False`` times ``work`` without consulting or filling
+        the shared store: for one-off batches, such as a concatenation
+        of plans, whose identity no later call can ever present again.
+        """
+        if not memoize:
+            return BatchMeasurement(*time_work_batch(work, self._config))
         return self._store.measure_batch(work)
 
     def __repr__(self) -> str:

@@ -3,7 +3,9 @@
 Models lower to :class:`~repro.kernels.base.KernelInvocation` streams;
 each invocation names a concrete kernel *variant* (as a BLAS/DNN library
 would) and carries the :class:`~repro.hw.timing.WorkProfile` the GPU
-model times.  Variant selection is size-dependent — exactly like
+model times.  Lowered without a hardware config, GEMMs stay
+config-free :class:`~repro.kernels.gemm.GemmRequest` rows until a plan
+is bound to a config.  Variant selection is size-dependent — exactly like
 rocBLAS/MIOpen tile selection — which is what makes different sequence
 lengths invoke different kernel sets (paper Fig 5) and shift the kernel
 runtime distribution (Figs 6 and 8).

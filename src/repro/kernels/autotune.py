@@ -13,11 +13,13 @@ that cost to the first epoch and the SeqPoint pipeline ignores it, as
 the paper prescribes (Key point: autotune runs once, so representative
 runs exclude it).
 
-``batched=True`` charges through the vectorized candidate race
-(:func:`repro.kernels.gemm.candidate_times`) instead of materialising
-and timing each candidate invocation in Python; the accumulated cost is
-bit-identical (the race rows are bit-identical per candidate and the
-reduction replays the reference loop's left-to-right accumulation).
+``batched=True`` charges from the vectorized candidate race
+(:func:`repro.kernels.gemm.candidate_times`) — the same race that bound
+the plans' GEMM variants, remembered per config, so charging a problem
+a plan already raced times nothing — instead of materialising and
+timing each candidate invocation in Python.  The accumulated cost is
+bit-identical: the race rows are bit-identical per candidate and the
+pruned subset is summed in the reference loop's left-to-right order.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from __future__ import annotations
 from repro.hw.config import HardwareConfig
 from repro.hw.timing import time_work
 from repro.kernels.gemm import GEMM_VARIANTS, build_gemm, candidate_times
-from repro.util.stats import sequential_sum
 
 __all__ = ["Autotuner"]
 
@@ -96,10 +97,13 @@ class Autotuner:
         return cost
 
     def _charge_batched(self, m: int, n: int, k: int) -> float:
-        """Vectorized charge: one race over all variants, then the
-        pruned subset accumulated in reference (left-to-right) order."""
-        times = candidate_times(m, n, k, self._config)
-        return sequential_sum(times[_candidate_indices(m, n)] * _TRIALS_PER_VARIANT)
+        """Charge from the race over all variants: the pruned subset
+        accumulated in reference (left-to-right) order."""
+        times = candidate_times(m, n, k, self._config).tolist()
+        cost = 0.0
+        for index in _candidate_indices(m, n):
+            cost += times[index] * _TRIALS_PER_VARIANT
+        return cost
 
     def reset(self) -> None:
         """Forget all tuned shapes (a fresh process/training run)."""

@@ -11,29 +11,44 @@ Observation 3 (one kernel, different dims across iterations).
 Selection is by predicted runtime on the target device (the library's
 autotune ground truth); :mod:`repro.kernels.autotune` layers the "first
 epoch tries everything" behaviour on top.
+
+Selection is the only part of lowering that reads the hardware
+configuration.  Lowering without one (``config=None``) yields
+config-free :class:`GemmRequest` rows, and binding a plan to a config
+races all nine variants of every new problem in one vectorized
+:func:`race_gemms` call, remembered per config so autotune charges from
+the same race.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
+from threading import Lock
 
 import numpy as np
 
 from repro.errors import KernelSelectionError
-from repro.hw.cache import capacity_factor
-from repro.hw.compute import _LATENCY_HIDING_WAVES
 from repro.hw.config import HardwareConfig
-from repro.hw.timing import _INFLIGHT_BYTES_PER_WAVE, time_work
+from repro.hw.timing import WorkBatch, time_work, time_work_batch
 from repro.kernels.base import FLOAT_BYTES, KernelInvocation, make_invocation
 
 __all__ = [
     "GemmVariant",
+    "GemmRequest",
     "GEMM_VARIANTS",
+    "GEMM_NAMES",
+    "GEMM_VARIANT_COLUMNS",
     "gemm",
     "gemm_variants",
     "build_gemm",
+    "gemm_work",
+    "gemm_names",
+    "race_gemms",
+    "select_variants",
     "candidate_times",
     "clear_gemm_caches",
 ]
@@ -57,8 +72,8 @@ class GemmVariant:
 
 
 #: Line-granularity locality within a K-slice of both panels — shared
-#: by :func:`build_gemm` and the constant-folded race in
-#: :func:`_race_env`, which must agree bit for bit.
+#: by :func:`build_gemm` and its column form :func:`gemm_work`, which
+#: must agree bit for bit.
 _L1_REUSE_FRACTION = 0.30
 
 #: The variant family.  Tile sizes and efficiencies follow the usual
@@ -133,158 +148,171 @@ def gemm_variants(m: int, n: int, k: int, group: str = "gemm") -> list[KernelInv
     return [build_gemm(variant, m, n, k, group) for variant in GEMM_VARIANTS]
 
 
-@lru_cache(maxsize=64)
-def _race_env(config: HardwareConfig):
-    """Constant-folded per-variant/config terms of the candidate race.
+#: Variant constants as columns, in :data:`GEMM_VARIANTS` order.
+_TILE_M = np.array([v.tile_m for v in GEMM_VARIANTS], dtype=np.int64)
+_TILE_N = np.array([v.tile_n for v in GEMM_VARIANTS], dtype=np.int64)
+_DEPTH_U = np.array([v.depth_u for v in GEMM_VARIANTS], dtype=np.int64)
+_ISSUE_EFFICIENCY = np.array(
+    [v.issue_efficiency for v in GEMM_VARIANTS], dtype=np.float64
+)
 
-    Everything here depends only on the variant's tile constants and the
-    hardware configuration, never on the problem dims, so the race loop
-    in :func:`candidate_times` recomputes none of it.  Each folded value
-    is produced by the *same* expression the scalar pipeline evaluates
-    (e.g. ``l1_hit = l1_reuse_fraction * capacity_factor(...)``), so
-    folding preserves bit-identity.
+
+def gemm_work(
+    m: np.ndarray, n: np.ndarray, k: np.ndarray, variant: np.ndarray
+) -> WorkBatch:
+    """Column form of :func:`build_gemm`'s work profiles.
+
+    Row ``i`` is ``build_gemm(GEMM_VARIANTS[variant[i]], m[i], n[i],
+    k[i]).work`` as :meth:`WorkBatch.from_profiles` would columnarise
+    it, bit for bit: the geometry stays in int64 (exact while byte
+    counts stay below 2**53, far above any modelled problem), each
+    float expression keeps :func:`build_gemm`'s association order, and
+    integer results convert to float64 exactly as ``from_profiles``
+    converts Python ints.
     """
-    wave_slots = config.num_cus * _LATENCY_HIDING_WAVES
-    resident_cap = float(config.num_cus * config.max_waves_per_cu)
-    peak_flops = config.peak_flops
-    l1_bandwidth = config.l1_bandwidth
-    l2_bandwidth = config.l2_bandwidth
-    per_variant = []
-    for variant in GEMM_VARIANTS:
-        l1_working_set = (
-            (variant.tile_m + variant.tile_n) * variant.depth_u * FLOAT_BYTES
-        )
-        l1_capture = capacity_factor(l1_working_set, config.l1_bytes)
-        l1_hit = _L1_REUSE_FRACTION * l1_capture if config.l1_enabled else 0.0
-        spilled = _L1_REUSE_FRACTION - l1_hit
-        # _average_latency_cycles' L1 term: hit fraction x L1 latency.
-        l1_latency_term = l1_hit * config.l1_latency_cycles
-        per_variant.append(
-            (
-                variant.tile_m,
-                variant.tile_n,
-                l1_working_set,
-                variant.issue_efficiency,
-                l1_hit,
-                spilled,
-                l1_latency_term,
-            )
-        )
-    return wave_slots, resident_cap, peak_flops, l1_bandwidth, l2_bandwidth, per_variant
+    tile_m = _TILE_M[variant]
+    tile_n = _TILE_N[variant]
+    tiles_m = -(-m // tile_m)
+    tiles_n = -(-n // tile_n)
+    workgroups = tiles_m * tiles_n
+    read_bytes = workgroups * (tile_m + tile_n) * k * FLOAT_BYTES
+    unique_bytes = (m * k + k * n) * FLOAT_BYTES
+    count = workgroups.size
+    return WorkBatch(
+        flops=2.0 * (tiles_m * tile_m) * (tiles_n * tile_n) * k,
+        work_items=(workgroups * 256).astype(np.float64),
+        issue_efficiency=_ISSUE_EFFICIENCY[variant],
+        workgroup_size=np.full(count, 256.0),
+        read_bytes=read_bytes.astype(np.float64),
+        write_bytes=(m * n * FLOAT_BYTES).astype(np.float64),
+        l1_reuse_fraction=np.full(count, _L1_REUSE_FRACTION),
+        l1_working_set=((tile_m + tile_n) * _DEPTH_U[variant] * FLOAT_BYTES).astype(
+            np.float64
+        ),
+        l2_reuse_fraction=np.maximum(0.0, 1.0 - unique_bytes / read_bytes),
+        l2_working_set=unique_bytes.astype(np.float64),
+    )
 
 
-@lru_cache(maxsize=65536)
-def candidate_times(
-    m: int, n: int, k: int, config: HardwareConfig
-) -> np.ndarray:
+#: The :class:`~repro.hw.timing.WorkBatch` columns of a GEMM that depend
+#: on its variant.  The other four (workgroup size, write bytes, L1
+#: reuse fraction and L2 working set) are fixed by ``(m, n, k)`` alone.
+GEMM_VARIANT_COLUMNS: tuple[str, ...] = (
+    "flops",
+    "work_items",
+    "issue_efficiency",
+    "read_bytes",
+    "l1_working_set",
+    "l2_reuse_fraction",
+)
+
+
+def gemm_names(m: np.ndarray, n: np.ndarray, variant: np.ndarray) -> np.ndarray:
+    """Kernel-name index per row: ``2 * variant + edge`` into
+    :data:`GEMM_NAMES` (the edge-tile kernel dispatches whenever the
+    problem does not divide the macro-tile, as in :func:`build_gemm`)."""
+    edge = (m % _TILE_M[variant] != 0) | (n % _TILE_N[variant] != 0)
+    return 2 * variant + edge
+
+
+#: Every name a dispatched GEMM can carry, indexed by :func:`gemm_names`.
+GEMM_NAMES: tuple[str, ...] = tuple(
+    name for v in GEMM_VARIANTS for name in (v.name, v.name + "_edge")
+)
+
+
+def race_gemms(dims: np.ndarray, config: HardwareConfig) -> np.ndarray:
+    """Predicted runtime of every variant on every problem.
+
+    ``dims`` is a ``(P, 3)`` array of ``(m, n, k)`` rows; the result is
+    ``(P, len(GEMM_VARIANTS))``.  All ``P x 9`` candidates are built by
+    :func:`gemm_work` and timed in one
+    :func:`~repro.hw.timing.time_work_batch` call, which is row-wise
+    bit-identical to :func:`~repro.hw.timing.time_work`.
+    """
+    dims = np.asarray(dims, dtype=np.int64).reshape(-1, 3)
+    variants = len(GEMM_VARIANTS)
+    m, n, k = (np.repeat(dims[:, axis], variants) for axis in range(3))
+    variant = np.tile(np.arange(variants), len(dims))
+    seconds, _, _ = time_work_batch(gemm_work(m, n, k, variant), config)
+    return seconds.reshape(len(dims), variants)
+
+
+#: Raced problems retained per config before oldest-first eviction.
+_MAX_RACES_PER_CONFIG = 65536
+
+#: config -> {(m, n, k): (read-only race times, winning variant index)}.
+_RACES: dict[HardwareConfig, dict[tuple[int, int, int], tuple[np.ndarray, int]]] = {}
+_RACES_LOCK = Lock()
+
+
+def _raced(
+    problems: Sequence[tuple[int, int, int]], config: HardwareConfig
+) -> list[tuple[np.ndarray, int]]:
+    """Race results per problem, racing the unseen ones together.
+
+    The process-wide memo is what autotune charges from, so a problem
+    raced while binding a plan is never raced again for its autotune
+    cost.  ``np.argmin`` keeps the first minimum, matching the
+    reference loop's strict ``<`` on ties.  Lookups take no lock; two
+    threads racing one new problem at once store equal results.
+    """
+    results = _RACES.get(config)
+    if results is None:
+        with _RACES_LOCK:
+            results = _RACES.setdefault(config, {})
+    found = [results.get(problem) for problem in problems]
+    missing = [i for i, entry in enumerate(found) if entry is None]
+    if missing:
+        times = race_gemms(np.array([problems[i] for i in missing]), config)
+        times.setflags(write=False)
+        winners = np.argmin(times, axis=1).tolist()
+        with _RACES_LOCK:
+            for row, i in enumerate(missing):
+                found[i] = results[problems[i]] = (times[row], winners[row])
+            overflow = max(0, len(results) - _MAX_RACES_PER_CONFIG)
+            for stale in list(islice(results, overflow)):
+                del results[stale]
+    return found
+
+
+#: Dims below this pack three to an int64 key in :func:`select_variants`.
+_PACK_LIMIT = 1 << 21
+
+
+def select_variants(dims: np.ndarray, config: HardwareConfig) -> np.ndarray:
+    """Index into :data:`GEMM_VARIANTS` of the variant dispatched for
+    each ``(m, n, k)`` row of ``dims`` on ``config``."""
+    if len(dims) == 0:
+        return np.zeros(0, dtype=np.int64)
+    if int(dims.max()) < _PACK_LIMIT:
+        # One int64 key per row: a 1-D unique is ~20x faster than the
+        # row-wise ``axis=0`` form.
+        packed = (dims[:, 0] << 42) | (dims[:, 1] << 21) | dims[:, 2]
+        _, first, inverse = np.unique(packed, return_index=True, return_inverse=True)
+        problems = dims[first]
+    else:
+        problems, inverse = np.unique(dims, axis=0, return_inverse=True)
+    keys = [tuple(row) for row in problems.tolist()]
+    winners = np.array([winner for _, winner in _raced(keys, config)], dtype=np.int64)
+    return winners[inverse.reshape(-1)]
+
+
+def candidate_times(m: int, n: int, k: int, config: HardwareConfig) -> np.ndarray:
     """Predicted runtime of every variant on this problem (one entry per
-    :data:`GEMM_VARIANTS` row).
+    :data:`GEMM_VARIANTS` row, read-only).
 
     The shared primitive behind library dispatch (:func:`gemm` takes the
     argmin) and the autotune phase (:class:`~repro.kernels.autotune.Autotuner`
-    sums its pruned candidate subset).  Each entry is bit-identical to
+    sums its pruned candidate subset): a one-problem call of the
+    vectorized race, answered from the race memo when the problem was
+    already raced on ``config``.  Each entry is bit-identical to
     ``time_work(build_gemm(variant, m, n, k).work, config)[0]`` —
-    asserted in tests/test_kernels_gemm.py.
-
-    Nine candidates sit below numpy's dispatch break-even, so the race
-    is a constant-folded scalar loop rather than a
-    :func:`~repro.hw.timing.time_work_batch` call: every
-    problem-independent term is precomputed per config by
-    :func:`_race_env`, and the remaining expressions replicate
-    :func:`build_gemm` + :func:`~repro.hw.timing.time_work` literally
-    (integer intermediates stay integers, same association order, and
-    only the runtime is computed — no breakdown or counters).
+    asserted in tests/test_plan_equivalence.py.
     """
     if min(m, n, k) <= 0:
         raise KernelSelectionError(f"GEMM dims must be positive, got {(m, n, k)}")
-    env = _race_env(config)
-    wave_slots, resident_cap, peak_flops, l1_bandwidth, l2_bandwidth, variants = env
-    # Hoist every config scalar and builtin out of the 9-way loop.
-    wave_size = config.wave_size
-    num_cus = config.num_cus
-    l1_enabled = config.l1_enabled
-    l2_enabled = config.l2_enabled
-    l2_bytes = config.l2_bytes
-    dram_bandwidth = config.dram_bandwidth
-    l2_latency = config.l2_latency_cycles
-    dram_latency = config.dram_latency_cycles
-    gclk_hz = config.gclk_hz
-    launch_s = config.kernel_launch_s
-    ceil = math.ceil
-
-    unique_bytes = (m * k + k * n) * FLOAT_BYTES
-    write_bytes = m * n * FLOAT_BYTES
-    values = []
-    for (
-        tile_m,
-        tile_n,
-        l1_working_set,
-        issue_efficiency,
-        l1_hit,
-        spilled,
-        l1_latency_term,
-    ) in variants:
-        # build_gemm's geometry (all-integer, exact).
-        tiles_m = ceil(m / tile_m)
-        tiles_n = ceil(n / tile_n)
-        workgroups = tiles_m * tiles_n
-        padded_m = tiles_m * tile_m
-        padded_n = tiles_n * tile_n
-        flops = 2.0 * padded_m * padded_n * k
-        work_items = workgroups * 256
-        read_bytes = workgroups * (tile_m + tile_n) * k * FLOAT_BYTES
-        l2_reuse = 0.0
-        if read_bytes > 0:
-            l2_reuse = max(0.0, 1.0 - unique_bytes / read_bytes)
-
-        # resolve_traffic.  capacity_factor is inlined for the enabled
-        # case; its working set max(unique, l1_ws) is always positive.
-        l2_reads = read_bytes * (1.0 - l1_hit)
-        if l2_enabled:
-            l2_candidate = min(1.0, l2_reuse + spilled)
-            l2_capture = min(
-                1.0, l2_bytes / max(unique_bytes, l1_working_set)
-            )
-            l2_hit = l2_candidate * l2_capture
-        else:
-            l2_hit = 0.0
-        dram_reads = l2_reads * (1.0 - l2_hit)
-
-        # compute_time (flops > 0 for any valid problem).
-        waves = max(1.0, work_items / wave_size)
-        occupancy = min(1.0, waves / wave_slots)
-        workgroup_count = max(1, ceil(work_items / 256))
-        rounds = ceil(workgroup_count / num_cus)
-        tail = workgroup_count / (rounds * num_cus)
-        efficiency = issue_efficiency * (occupancy * tail)
-        achievable = peak_flops * max(efficiency, 1e-6)
-        compute_s = flops / achievable
-
-        # _bandwidth_time.
-        bandwidth_s = (dram_reads + write_bytes) / dram_bandwidth
-        if l2_enabled:
-            bandwidth_s = max(
-                bandwidth_s, (l2_reads + write_bytes) / l2_bandwidth
-            )
-        if l1_enabled:
-            bandwidth_s = max(bandwidth_s, read_bytes / l1_bandwidth)
-
-        # _latency_time (read_bytes > 0 for any valid problem).
-        l2_served = (l2_reads - dram_reads) / max(read_bytes, 1e-30)
-        dram_fraction = dram_reads / read_bytes
-        cycles_per_round = (
-            l1_latency_term
-            + max(l2_served, 0.0) * l2_latency
-            + dram_fraction * dram_latency
-        )
-        resident_waves = min(waves, resident_cap)
-        inflight_bytes = max(resident_waves * _INFLIGHT_BYTES_PER_WAVE, 1.0)
-        latency_s = read_bytes / inflight_bytes * cycles_per_round / gclk_hz
-
-        values.append(launch_s + max(compute_s, bandwidth_s, latency_s))
-    times = np.array(values, dtype=np.float64)
-    times.setflags(write=False)
-    return times
+    return _raced([(m, n, k)], config)[0][0]
 
 
 def _select_reference(m: int, n: int, k: int, config: HardwareConfig) -> GemmVariant:
@@ -301,34 +329,59 @@ def _select_reference(m: int, n: int, k: int, config: HardwareConfig) -> GemmVar
     return best
 
 
-@lru_cache(maxsize=65536)
 def _select(m: int, n: int, k: int, config: HardwareConfig) -> GemmVariant:
-    """Pick the fastest variant for this shape on ``config``.
-
-    ``np.argmin`` returns the first minimum, matching the reference
-    loop's strict ``<`` (keep the earliest winner on ties).
-    """
-    return GEMM_VARIANTS[int(np.argmin(candidate_times(m, n, k, config)))]
+    """Pick the fastest variant for this shape on ``config``."""
+    if min(m, n, k) <= 0:
+        raise KernelSelectionError(f"GEMM dims must be positive, got {(m, n, k)}")
+    return GEMM_VARIANTS[_raced([(m, n, k)], config)[0][1]]
 
 
 def clear_gemm_caches() -> None:
     """Drop every memo in this module (for cold benchmarks)."""
     build_gemm.cache_clear()
-    candidate_times.cache_clear()
-    _select.cache_clear()
-    _race_env.cache_clear()
     gemm.cache_clear()
+    with _RACES_LOCK:
+        _RACES.clear()
+
+
+@dataclass(frozen=True)
+class GemmRequest:
+    """A GEMM launch before variant selection: the problem and its
+    reporting group, with no hardware configuration.
+
+    What :func:`gemm` returns when lowering runs without a config.  A
+    request is fixed by ``(group, m, n, k)`` and so is the invocation it
+    binds to on any one config, which makes merging requests exactly
+    as fine as merging the invocations they become.
+    """
+
+    group: str
+    shape: tuple[int, int, int]
+
+    op = "gemm"
+    #: Family name: the variant (and so the kernel name) is unresolved.
+    name = "gemm"
 
 
 @lru_cache(maxsize=65536)
 def gemm(
-    m: int, n: int, k: int, config: HardwareConfig, group: str = "gemm"
-) -> KernelInvocation:
+    m: int, n: int, k: int, config: HardwareConfig | None, group: str = "gemm"
+) -> KernelInvocation | GemmRequest:
     """The invocation the library would dispatch for this GEMM.
+
+    With ``config=None`` the result is the config-free
+    :class:`GemmRequest`; :func:`repro.models.plan.bind` later picks its
+    variant per config for a whole plan at once.
 
     Memoised on the full request: recurrent models re-request the same
     dispatch thousands of times per epoch, and even two warm cache
     lookups (selection + build) per call are measurable on the lowering
     hot path.
     """
+    if config is None:
+        if min(m, n, k) <= 0:
+            raise KernelSelectionError(
+                f"GEMM dims must be positive, got {(m, n, k)}"
+            )
+        return GemmRequest(group=group, shape=(m, n, k))
     return build_gemm(_select(m, n, k, config), m, n, k, group)

@@ -6,6 +6,10 @@ time steps).  Lowering yields ``(invocation, count)`` pairs; a count of
 ``T`` means the kernel launches once per time step, which is the
 paper's core heterogeneity mechanism — per-step kernels scale in
 *count*, batched kernels scale in *size* (§IV-B1).
+
+Layers only hand ``config`` on to :func:`~repro.kernels.gemm.gemm` (and
+convolutions, which lower through it); with ``config=None`` their GEMMs
+come out as config-free requests, bound to a config later.
 """
 
 from __future__ import annotations

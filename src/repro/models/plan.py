@@ -17,17 +17,28 @@ same information compiled once into parallel numpy columns:
 * the GEMM problem dims in original launch order (autotune accounting
   follows launch order, not merged order).
 
-Plans are frozen; the batched executor times one with a single
+Lowering comes in two layers.  The *structural* layer is a pure
+function of (model, pass, shape): lowering with ``config=None`` leaves
+every GEMM as a config-free request, and :func:`compile_plan` turns
+that into a :class:`StructuralPlan`.  The *hardware* layer is
+:func:`bind_plans`, which picks every GEMM's variant for one config —
+for all of an epoch's new shapes in one vectorized race — and yields
+the :class:`SchedulePlan` the device times.  Binding a structural plan
+gives, field for field, the plan compiled from a schedule lowered with
+that config (asserted in tests/test_plan_bind.py).
+
+Plans are frozen; the batched executor times them with one
 :meth:`~repro.hw.device.GpuDevice.run_batch` call and reduces with the
 same left-to-right accumulation the scalar reference loop performs, so
-results are bit-identical (asserted in tests/test_plan_equivalence.py).
+results are bit-identical.
 
-:class:`PlanCache` is the process-wide store keyed by
-``(model plan key, pass kind, batch, seq_len, tgt_len, hardware
-config)``.  Lowering is deterministic in exactly those inputs (the
-paper's Key Observation 4 as a structural property), so every executor,
-simulator, and sweep worker in the process shares one compiled plan per
-unique shape instead of re-lowering it.
+:class:`PlanCache` is the process-wide store.  Structural plans are
+keyed by ``(model plan key, pass kind, batch, seq_len, tgt_len)`` —
+lowering is deterministic in exactly those inputs (the paper's Key
+Observation 4 as a structural property) — and bound plans by the same
+key plus the hardware config, so every executor, simulator, and sweep
+worker in the process lowers each unique shape once and binds it once
+per config.
 """
 
 from __future__ import annotations
@@ -35,7 +46,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from threading import Lock
@@ -43,21 +54,34 @@ from typing import Any
 
 import numpy as np
 
+from repro.hw.config import HardwareConfig
 from repro.hw.timing import WorkBatch
+from repro.kernels.gemm import (
+    GEMM_NAMES,
+    GEMM_VARIANT_COLUMNS,
+    GemmRequest,
+    gemm_names,
+    gemm_work,
+    select_variants,
+)
 from repro.models.schedule import KernelSchedule
 from repro.util.filelock import file_lock
 from repro.util.npt import ColumnStore, write_columns
 
 __all__ = [
     "SchedulePlan",
+    "StructuralPlan",
     "compile_plan",
+    "bind",
+    "bind_plans",
     "PlanCache",
     "PlanStore",
     "PLAN_CACHE",
     "PLAN_SCHEMA",
 ]
 
-PLAN_SCHEMA = "repro.schedule-plan.v1"
+#: v2 stores structural plans (v1 stored plans bound to one config).
+PLAN_SCHEMA = "repro.schedule-plan.v2"
 
 #: WorkBatch columns in serialisation order.
 _WORK_COLUMNS = (
@@ -108,8 +132,41 @@ class SchedulePlan:
         return float((self.work.flops * self.counts).sum())
 
 
-def compile_plan(schedule: KernelSchedule) -> SchedulePlan:
+@dataclass(frozen=True, eq=False)
+class StructuralPlan:
+    """Config-free columnar form of one lowered pass.
+
+    Rows, counts, groups and GEMM shapes are final; GEMM rows have no
+    variant yet.  Their ``name_id`` is -1, their
+    :data:`~repro.kernels.gemm.GEMM_VARIANT_COLUMNS` work entries are
+    zero, and ``gemm_rows``/``gemm_dims`` say which rows they are and
+    which problems they solve.  :func:`bind` completes them for one
+    config.  Kernel names are interned over the non-GEMM rows only.
+    """
+
+    work: WorkBatch
+    counts: np.ndarray
+    group_id: np.ndarray
+    name_id: np.ndarray
+    groups: tuple[str, ...]
+    names: tuple[str, ...]
+    gemm_shapes: tuple[tuple[int, int, int], ...]
+    #: Row index of each unbound GEMM row, ascending.
+    gemm_rows: np.ndarray
+    #: ``(m, n, k)`` of each of those rows, shape ``(len(gemm_rows), 3)``.
+    gemm_dims: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.counts.size)
+
+
+def compile_plan(schedule: KernelSchedule) -> SchedulePlan | StructuralPlan:
     """Compile a lowered schedule into its frozen columnar plan.
+
+    A schedule lowered with a hardware config compiles to a
+    :class:`SchedulePlan`; one lowered without (``config=None``, so its
+    GEMMs are :class:`~repro.kernels.gemm.GemmRequest` rows) compiles to
+    a :class:`StructuralPlan` for :func:`bind` to finish per config.
 
     Merging runs in two passes: a vectorized pre-merge keyed on object
     *identity* (kernel constructors are memoised, so repeated launches
@@ -118,7 +175,9 @@ def compile_plan(schedule: KernelSchedule) -> SchedulePlan:
     an equality merge over the few surviving distinct objects.
     First-appearance order is preserved through both and integer counts
     add associatively, so the result coalesces exactly like
-    :meth:`KernelSchedule.merged`.
+    :meth:`KernelSchedule.merged`.  The merge is the same for both plan
+    kinds: on any one config a GEMM request is fixed by its group and
+    dims, and so is the invocation it binds to.
     """
     entries = list(schedule)
     n = len(entries)
@@ -172,29 +231,175 @@ def compile_plan(schedule: KernelSchedule) -> SchedulePlan:
     group_table: dict[str, int] = {}
     name_table: dict[str, int] = {}
     group_id = np.empty(len(rows), dtype=np.int64)
-    name_id = np.empty(len(rows), dtype=np.int64)
+    name_id = np.full(len(rows), -1, dtype=np.int64)
+    requests: list[int] = []
     for row, invocation in enumerate(rows):
         group_id[row] = group_table.setdefault(
             invocation.group, len(group_table)
         )
-        name_id[row] = name_table.setdefault(invocation.name, len(name_table))
+        if isinstance(invocation, GemmRequest):
+            requests.append(row)
+        else:
+            name_id[row] = name_table.setdefault(
+                invocation.name, len(name_table)
+            )
+    counts = np.array(row_counts, dtype=np.int64)
+    if not requests:
+        return SchedulePlan(
+            work=WorkBatch.from_profiles([inv.work for inv in rows]),
+            counts=counts,
+            group_id=group_id,
+            name_id=name_id,
+            groups=tuple(group_table),
+            names=tuple(name_table),
+            gemm_shapes=gemm_shapes,
+        )
 
-    return SchedulePlan(
-        work=WorkBatch.from_profiles([inv.work for inv in rows]),
-        counts=np.array(row_counts, dtype=np.int64),
+    # Structural: kernel rows carry their work; GEMM rows carry the
+    # columns their dims fix, and zeros where the variant decides.
+    gemm_rows = np.array(requests, dtype=np.int64)
+    gemm_dims = np.array(
+        [rows[row].shape for row in requests], dtype=np.int64
+    ).reshape(-1, 3)
+    kernel_rows = np.flatnonzero(name_id >= 0)
+    table = np.zeros((len(_WORK_COLUMNS), len(rows)))
+    kernels = WorkBatch.from_profiles(
+        [rows[row].work for row in kernel_rows.tolist()]
+    )
+    fixed = gemm_work(
+        gemm_dims[:, 0], gemm_dims[:, 1], gemm_dims[:, 2],
+        np.zeros(len(requests), dtype=np.int64),
+    )
+    for position, name in enumerate(_WORK_COLUMNS):
+        table[position, kernel_rows] = getattr(kernels, name)
+        if name not in GEMM_VARIANT_COLUMNS:
+            table[position, gemm_rows] = getattr(fixed, name)
+    return StructuralPlan(
+        work=WorkBatch(**dict(zip(_WORK_COLUMNS, table))),
+        counts=counts,
         group_id=group_id,
         name_id=name_id,
         groups=tuple(group_table),
         names=tuple(name_table),
         gemm_shapes=gemm_shapes,
+        gemm_rows=gemm_rows,
+        gemm_dims=gemm_dims,
     )
 
 
+def _intern(
+    plan_of_row: np.ndarray, tokens: np.ndarray, plans: int
+) -> tuple[np.ndarray, list[list[int]]]:
+    """Per-plan interning of row tokens in first-appearance order.
+
+    ``plan_of_row`` is ascending (plans are contiguous row ranges).
+    Returns each row's id within its plan's table, and each plan's
+    table as a list of tokens — what a per-plan
+    ``table.setdefault(token, len(table))`` loop over the rows builds.
+    """
+    width = int(tokens.max()) + 1
+    unique, first, inverse = np.unique(
+        plan_of_row * width + tokens, return_index=True, return_inverse=True
+    )
+    # Rows of earlier plans come first, so ordering by first row orders
+    # by plan, then by first appearance within the plan.
+    order = np.argsort(first, kind="stable")
+    rank = np.empty(order.size, dtype=np.int64)
+    rank[order] = np.arange(order.size)
+    table_sizes = np.bincount(unique[order] // width, minlength=plans)
+    table_starts = np.concatenate(([0], np.cumsum(table_sizes)))
+    ids = rank[inverse.reshape(-1)] - table_starts[plan_of_row]
+    ordered = (unique[order] % width).tolist()
+    bounds = table_starts.tolist()
+    return ids, [ordered[bounds[j] : bounds[j + 1]] for j in range(plans)]
+
+
+def bind(plan: SchedulePlan | StructuralPlan, config: HardwareConfig) -> SchedulePlan:
+    """``plan`` with its GEMM variants chosen for ``config``."""
+    return bind_plans([plan], config)[0]
+
+
+def bind_plans(
+    plans: Sequence[SchedulePlan | StructuralPlan], config: HardwareConfig
+) -> list[SchedulePlan]:
+    """Bind many plans to ``config`` in one vectorized step.
+
+    Every GEMM row of every structural plan goes through one
+    :func:`~repro.kernels.gemm.select_variants` call (which races the
+    problems ``config`` has not raced yet, all at once) and one
+    :func:`~repro.kernels.gemm.gemm_work` call for the winners' columns;
+    kernel names are re-interned per plan in row order.  The result is
+    field for field what :func:`compile_plan` makes of the same pass
+    lowered with ``config`` (asserted in tests/test_plan_bind.py).  A
+    bound plan shares its structural plan's counts, groups, GEMM shapes
+    and variant-free work columns; plans without GEMMs are already
+    bound and come back as they are.
+    """
+    bound: list = list(plans)
+    todo = [i for i, plan in enumerate(plans) if isinstance(plan, StructuralPlan)]
+    if not todo:
+        return bound
+    parts = [plans[i] for i in todo]
+    sizes = np.array([len(part) for part in parts], dtype=np.int64)
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    gemm_rows = np.concatenate(
+        [part.gemm_rows + start for part, start in zip(parts, starts.tolist())]
+    )
+    dims = np.concatenate([part.gemm_dims for part in parts])
+    m, n, k = dims[:, 0], dims[:, 1], dims[:, 2]
+    variant = select_variants(dims, config)
+    winners = gemm_work(m, n, k, variant)
+    columns = {}
+    for name in GEMM_VARIANT_COLUMNS:
+        column = np.concatenate([getattr(part.work, name) for part in parts])
+        column[gemm_rows] = getattr(winners, name)
+        columns[name] = column
+
+    # Names: one token per distinct string (GEMM names first, so a
+    # GEMM row's token is its gemm_names index).
+    token_of = {name: token for token, name in enumerate(GEMM_NAMES)}
+    local_tokens = []
+    for part in parts:
+        # The trailing 0 is what a GEMM row's name_id of -1 picks.
+        tokens = [token_of.setdefault(name, len(token_of)) for name in part.names]
+        local_tokens.append(np.array([*tokens, 0], dtype=np.int64)[part.name_id])
+    tokens = np.concatenate(local_tokens)
+    tokens[gemm_rows] = gemm_names(m, n, variant)
+    plan_of_row = np.repeat(np.arange(len(parts)), sizes)
+    name_id, plan_tokens = _intern(plan_of_row, tokens, len(parts))
+    token_names = list(token_of)
+
+    for j, (i, part) in enumerate(zip(todo, parts)):
+        lo, hi = int(starts[j]), int(starts[j + 1])
+        bound[i] = SchedulePlan(
+            work=WorkBatch(
+                **{
+                    name: columns[name][lo:hi]
+                    if name in columns
+                    else getattr(part.work, name)
+                    for name in _WORK_COLUMNS
+                }
+            ),
+            counts=part.counts,
+            group_id=part.group_id,
+            name_id=name_id[lo:hi],
+            groups=part.groups,
+            names=tuple(token_names[token] for token in plan_tokens[j]),
+            gemm_shapes=part.gemm_shapes,
+        )
+    return bound
+
+
 def _plan_columns(
-    plan: SchedulePlan,
+    plan: SchedulePlan | StructuralPlan,
 ) -> tuple[dict[str, Any], list[tuple[str, np.ndarray]]]:
-    """The (meta, columns) serialisation of one plan."""
-    meta = {"groups": list(plan.groups), "names": list(plan.names)}
+    """The (meta, columns) serialisation of one plan of either kind."""
+    structural = isinstance(plan, StructuralPlan)
+    meta = {
+        "groups": list(plan.groups),
+        "names": list(plan.names),
+        "structural": structural,
+    }
     columns: list[tuple[str, np.ndarray]] = [
         (name, getattr(plan.work, name)) for name in _WORK_COLUMNS
     ]
@@ -209,17 +414,20 @@ def _plan_columns(
             ),
         )
     )
+    if structural:
+        columns.append(("gemm_rows", plan.gemm_rows))
+        columns.append(("gemm_dims", plan.gemm_dims))
     return meta, columns
 
 
-def _plan_from_store(store: ColumnStore) -> SchedulePlan:
+def _plan_from_store(store: ColumnStore) -> SchedulePlan | StructuralPlan:
     """Rebuild a plan over a container's zero-copy column views.
 
     WorkBatch columns come back as contiguous read-only views into the
-    mapping; the timing engine only reads them, so mmap-backed plans
-    time bit-identically to freshly compiled ones.
+    mapping; the timing engine and :func:`bind` only read them, so
+    mmap-backed plans time bit-identically to freshly compiled ones.
     """
-    return SchedulePlan(
+    fields = dict(
         work=WorkBatch(**{name: store.column(name) for name in _WORK_COLUMNS}),
         counts=store.column("counts"),
         group_id=store.column("group_id"),
@@ -230,19 +438,33 @@ def _plan_from_store(store: ColumnStore) -> SchedulePlan:
             tuple(row) for row in store.column("gemm_shapes").tolist()
         ),
     )
+    if store.meta.get("structural"):
+        return StructuralPlan(
+            **fields,
+            gemm_rows=store.column("gemm_rows"),
+            gemm_dims=store.column("gemm_dims"),
+        )
+    return SchedulePlan(**fields)
+
+
+#: Either kind of plan; the caches and the store hold both.
+Plan = SchedulePlan | StructuralPlan
 
 
 class PlanStore:
     """Content-addressed on-disk store of compiled plans.
 
     Keys are stable hashes of structural plan fingerprints (model
-    hyperparameters + pass kind + shape + hardware config — see
-    :meth:`~repro.models.spec.Model.plan_fingerprint`), so *any*
-    process on the machine that needs the same lowering finds the
-    artefact instead of recompiling.  Writes follow the trace cache's
-    protocol: a per-key advisory file lock for the duration of a miss
-    plus atomic temp-file + rename publication, so racing spawn workers
-    lower each unique plan exactly once machine-wide.
+    hyperparameters + pass kind + shape — see
+    :meth:`~repro.models.spec.Model.plan_fingerprint`; no hardware
+    config, since the executor stores :class:`StructuralPlan`\\ s), so
+    *any* process on the machine that needs the same lowering finds the
+    artefact instead of recompiling, whatever config it binds to.
+    Writes follow the trace cache's protocol: a per-key advisory file
+    lock for the duration of a miss plus atomic temp-file + rename
+    publication, so racing spawn workers lower each unique plan exactly
+    once machine-wide.  An artefact of an older :data:`PLAN_SCHEMA`
+    found under a key is rebuilt and replaced, never served.
     """
 
     def __init__(self, directory: str | Path):
@@ -263,8 +485,8 @@ class PlanStore:
     def get_or_compute(
         self,
         fingerprint: Mapping[str, Any],
-        build: Callable[[], SchedulePlan],
-    ) -> SchedulePlan:
+        build: Callable[[], Plan],
+    ) -> Plan:
         """The stored plan for ``fingerprint``, building it on a miss.
 
         The whole miss runs under the per-key file lock, so concurrent
@@ -275,9 +497,11 @@ class PlanStore:
         path = self._path(key)
         with file_lock(self.directory, key):
             if path.exists():
-                with self._lock:
-                    self.hits += 1
-                return _plan_from_store(ColumnStore(path))
+                stored = ColumnStore(path)
+                if stored.schema == PLAN_SCHEMA:
+                    with self._lock:
+                        self.hits += 1
+                    return _plan_from_store(stored)
             plan = build()
             meta, columns = _plan_columns(plan)
             staging = path.with_name(f"{path.name}.{os.getpid()}.tmp")
@@ -304,7 +528,13 @@ class PlanCache:
     Thread-safe; compilation happens under the lock so every caller of
     one key observes the *same* plan object (identity matters — the
     device's batch-measurement memo keys on it).  Compiles are pure and
-    GIL-bound, so holding the lock costs no parallelism.
+    GIL-bound, so holding the lock costs no parallelism.  Bound plans
+    are built outside the lock, many at a time, and :meth:`publish`
+    keeps the first one published under a key.
+
+    ``hits`` counts lookups answered from memory; ``misses`` counts
+    compiles, so a shape that is lowered once and bound to five configs
+    is one miss.
 
     A :class:`PlanStore` may be attached, in which case memory misses
     whose caller supplies a structural fingerprint fall through to the
@@ -313,7 +543,7 @@ class PlanCache:
     """
 
     def __init__(self) -> None:
-        self._plans: dict[tuple, SchedulePlan] = {}
+        self._plans: dict[tuple, Plan] = {}
         self._lock = Lock()
         self._hits = 0
         self._misses = 0
@@ -334,15 +564,16 @@ class PlanCache:
     def get_or_compile(
         self,
         key: tuple,
-        build: Callable[[], SchedulePlan],
-        fingerprint: Mapping[str, Any] | None = None,
-    ) -> SchedulePlan:
+        build: Callable[[], Plan],
+        fingerprint: Mapping[str, Any] | Callable[[], Mapping[str, Any] | None] | None = None,
+    ) -> Plan:
         """The plan under ``key``, compiling (and storing) it on a miss.
 
         When a store is attached and ``fingerprint`` is not ``None``,
         the miss path delegates to the store, which loads a previously
         persisted lowering or compiles-and-publishes exactly once
-        across processes.
+        across processes.  ``fingerprint`` may be a callable, called
+        only on such a miss: hits never pay for building it.
         """
         with self._lock:
             plan = self._plans.get(key)
@@ -351,12 +582,28 @@ class PlanCache:
                 return plan
             self._misses += 1
             store = self._store
+            if store is not None and callable(fingerprint):
+                fingerprint = fingerprint()
             if store is not None and fingerprint is not None:
                 plan = store.get_or_compute(fingerprint, build)
             else:
                 plan = build()
             self._plans[key] = plan
             return plan
+
+    def lookup(self, key: tuple) -> Plan | None:
+        """The plan under ``key`` (a hit), or ``None`` without counting."""
+        plan = self._plans.get(key)
+        if plan is not None:
+            with self._lock:
+                self._hits += 1
+        return plan
+
+    def publish(self, key: tuple, plan: Plan) -> Plan:
+        """Store ``plan`` under ``key`` unless one is there already;
+        returns the plan every caller of ``key`` shares."""
+        with self._lock:
+            return self._plans.setdefault(key, plan)
 
     def stats(self) -> dict[str, int]:
         with self._lock:

@@ -4,9 +4,12 @@ A :class:`Model` turns :class:`IterationInputs` (batch size plus the
 padded sequence length of the batch) into a
 :class:`~repro.models.schedule.KernelSchedule` for a full training
 iteration (forward, backward, optimizer) or for a forward-only
-evaluation pass.  Lowering depends *only* on the inputs and hardware
-config — the paper's Key Observation 4 (all iterations at a given SL
-behave the same) is a structural property here.
+evaluation pass.  Lowering *structure* — which kernels launch, their
+dims, work and counts — depends only on the inputs: the paper's Key
+Observation 4 (all iterations at a given SL behave the same) is a
+structural property here.  The hardware config only picks each GEMM's
+variant, so lowering with ``config=None`` leaves GEMMs as config-free
+requests that :func:`repro.models.plan.bind` resolves per config.
 """
 
 from __future__ import annotations
@@ -74,15 +77,17 @@ class Model(ABC):
 
     @abstractmethod
     def lower_iteration(
-        self, inputs: IterationInputs, config: HardwareConfig
+        self, inputs: IterationInputs, config: HardwareConfig | None
     ) -> KernelSchedule:
-        """Kernel schedule of one full training iteration."""
+        """Kernel schedule of one full training iteration
+        (structural — GEMMs unbound — when ``config`` is ``None``)."""
 
     @abstractmethod
     def lower_forward(
-        self, inputs: IterationInputs, config: HardwareConfig
+        self, inputs: IterationInputs, config: HardwareConfig | None
     ) -> KernelSchedule:
-        """Kernel schedule of a forward-only (evaluation) pass."""
+        """Kernel schedule of a forward-only (evaluation) pass
+        (structural — GEMMs unbound — when ``config`` is ``None``)."""
 
     @abstractmethod
     def param_count(self) -> int:
@@ -100,7 +105,7 @@ class Model(ABC):
         """Identity for the process-wide plan cache.
 
         Two models with equal keys must lower identically for every
-        ``(inputs, config)`` pair.  The default is a per-instance token
+        ``inputs``.  The default is a per-instance token
         — always correct, and plans still deduplicate everywhere it
         matters because the analysis engine resolves one model instance
         per scenario and shares it across configs, seeds, and sweep
@@ -126,7 +131,7 @@ class Model(ABC):
         JSON-serialisable mapping capturing *every* hyperparameter that
         lowering depends on, discriminated by model family.  Two models
         with equal fingerprints must lower identically for every
-        ``(inputs, config)`` pair.  The default ``None`` opts the model
+        ``inputs``.  The default ``None`` opts the model
         out of the on-disk store (plans still cache per-process) —
         safer than a guessed subset of hyperparameters, which would
         silently serve one model's plans to another.

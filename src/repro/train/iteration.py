@@ -8,14 +8,16 @@ as ground truth.
 
 Two measurement paths exist:
 
-* the default **batched** path compiles each schedule into a columnar
-  :class:`~repro.models.plan.SchedulePlan` (through the process-wide
-  :data:`~repro.models.plan.PLAN_CACHE`, so equal shapes are lowered
-  once per process, not once per executor) and times it with a single
+* the default **batched** path lowers each shape once without a
+  hardware config into a structural plan, binds the GEMM variants of
+  all the shapes it is asked for to the device's config in one step
+  (both through the process-wide :data:`~repro.models.plan.PLAN_CACHE`,
+  so equal shapes are lowered once per process and bound once per
+  config, not once per executor), and times them with a single
   vectorized :meth:`~repro.hw.device.GpuDevice.run_batch` call;
-* the **scalar** reference path (``batched=False``) walks the merged
-  schedule invocation by invocation, exactly as before the columnar
-  refactor.
+* the **scalar** reference path (``batched=False``) lowers with the
+  config and walks the merged schedule invocation by invocation,
+  exactly as before the columnar refactor.
 
 Both produce bit-identical :class:`IterationResult`\\ s — the batched
 reductions replay the scalar loop's left-to-right accumulation — which
@@ -25,7 +27,6 @@ configurations, and noise seeds.
 
 from __future__ import annotations
 
-import dataclasses
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -34,7 +35,7 @@ import numpy as np
 from repro.hw.counters import CounterColumns, CounterSet
 from repro.hw.device import GpuDevice
 from repro.hw.timing import WorkBatch
-from repro.models.plan import PLAN_CACHE, SchedulePlan, compile_plan
+from repro.models.plan import PLAN_CACHE, SchedulePlan, bind_plans, compile_plan
 from repro.models.schedule import KernelSchedule
 from repro.models.spec import IterationInputs, Model
 from repro.util.stats import sequential_sum
@@ -80,8 +81,11 @@ class IterationExecutor:
         self.device = device
         self.host_overhead_s = host_overhead_s
         self.batched = batched
-        self._train_cache: dict[tuple[int, int, int | None], IterationResult] = {}
-        self._fwd_cache: dict[tuple[int, int, int | None], IterationResult] = {}
+        #: Pass kind -> shape key -> result.
+        self._memo: dict[str, dict[tuple[int, int, int | None], IterationResult]] = {
+            "train": {},
+            "forward": {},
+        }
 
     def _key(self, inputs: IterationInputs) -> tuple[int, int, int | None]:
         return (inputs.batch, inputs.seq_len, inputs.tgt_len)
@@ -137,120 +141,134 @@ class IterationExecutor:
             gemm_shapes=plan.gemm_shapes,
         )
 
-    def _measure_plan(self, plan: SchedulePlan) -> IterationResult:
-        """Batched path: one device call, columnar reductions."""
-        measurement = self.device.run_batch(plan.work)
-        return self._reduce_plan(plan, measurement.time_s, measurement.counters)
-
-    def _plan_for(self, inputs: IterationInputs, kind: str) -> SchedulePlan:
-        """This shape's compiled plan, through the process-wide cache.
-
-        Models exposing a structural :meth:`plan_fingerprint` also
-        qualify for the cross-process plan store (when one is attached
-        to the cache): the fingerprint extends the model identity with
-        everything else lowering depends on — pass kind, padded shape,
-        and the hardware configuration.
-        """
-        config = self.device.config
-        key = (
-            self.model.plan_key(),
-            kind,
-            inputs.batch,
-            inputs.seq_len,
-            inputs.tgt_len,
-            config,
-        )
-        model_fingerprint = self.model.plan_fingerprint()
-        fingerprint = None
-        if model_fingerprint is not None:
-            fingerprint = {
-                "model": model_fingerprint,
-                "kind": kind,
-                "batch": inputs.batch,
-                "seq_len": inputs.seq_len,
-                "tgt_len": inputs.tgt_len,
-                "config": dataclasses.asdict(config),
-            }
-        lower = (
+    def _lower(self, kind: str):
+        return (
             self.model.lower_iteration
             if kind == "train"
             else self.model.lower_forward
         )
+
+    def _fingerprint(self, kind: str, inputs: IterationInputs) -> dict | None:
+        """Plan-store identity of a structural plan: the model's
+        :meth:`~repro.models.spec.Model.plan_fingerprint` (``None`` opts
+        out) plus pass kind and padded shape — everything lowering
+        depends on."""
+        model = self.model.plan_fingerprint()
+        if model is None:
+            return None
+        return {
+            "model": model,
+            "kind": kind,
+            "batch": inputs.batch,
+            "seq_len": inputs.seq_len,
+            "tgt_len": inputs.tgt_len,
+        }
+
+    def _structural_plan(self, key: tuple, inputs: IterationInputs, kind: str):
+        """This shape's config-free plan, lowered once per process (once
+        per machine with a store attached).  The fingerprint is built
+        only on a memory miss with a store attached."""
         return PLAN_CACHE.get_or_compile(
             key,
-            lambda: compile_plan(lower(inputs, config)),
-            fingerprint=fingerprint,
+            lambda: compile_plan(self._lower(kind)(inputs, None)),
+            fingerprint=lambda: self._fingerprint(kind, inputs),
         )
+
+    def _plans_for(
+        self, inputs_seq: Sequence[IterationInputs], kind: str
+    ) -> list[SchedulePlan]:
+        """These shapes' plans bound to this device's config.
+
+        Bound plans come from the process-wide cache; the rest get their
+        structural plans (shared by every config) and are bound together
+        in one :func:`bind_plans` step.
+        """
+        config = self.device.config
+        model_key = self.model.plan_key()
+        keys = [
+            (model_key, kind, inputs.batch, inputs.seq_len, inputs.tgt_len)
+            for inputs in inputs_seq
+        ]
+        plans = [PLAN_CACHE.lookup((*key, config)) for key in keys]
+        unbound = [i for i, plan in enumerate(plans) if plan is None]
+        if unbound:
+            structural = [
+                self._structural_plan(keys[i], inputs_seq[i], kind)
+                for i in unbound
+            ]
+            for i, plan in zip(unbound, bind_plans(structural, config)):
+                plans[i] = PLAN_CACHE.publish((*keys[i], config), plan)
+        return plans
 
     def run(self, inputs: IterationInputs) -> IterationResult:
         """One full training iteration (forward + backward + update)."""
-        key = self._key(inputs)
-        if key not in self._train_cache:
-            if self.batched:
-                result = self._measure_plan(self._plan_for(inputs, "train"))
-            else:
-                result = self._measure(
-                    self.model.lower_iteration(inputs, self.device.config)
-                )
-            self._train_cache[key] = result
-        return self._train_cache[key]
+        result = self._memo["train"].get(self._key(inputs))
+        if result is None:
+            (result,) = self.run_unique((inputs,))
+        return result
 
     def run_forward(self, inputs: IterationInputs) -> IterationResult:
         """One forward-only (evaluation) pass."""
-        key = self._key(inputs)
-        if key not in self._fwd_cache:
-            if self.batched:
-                result = self._measure_plan(self._plan_for(inputs, "forward"))
-            else:
-                result = self._measure(
-                    self.model.lower_forward(inputs, self.device.config)
-                )
-            self._fwd_cache[key] = result
-        return self._fwd_cache[key]
+        result = self._memo["forward"].get(self._key(inputs))
+        if result is None:
+            (result,) = self.run_unique((inputs,), "forward")
+        return result
 
     def run_forward_unique(
         self, inputs_seq: Sequence[IterationInputs]
     ) -> list[IterationResult]:
-        """Forward results for many shapes, one device call for the lot.
+        """Forward results for many shapes: :meth:`run_unique` of the
+        ``"forward"`` pass (the serving fast path's entry point)."""
+        return self.run_unique(inputs_seq, "forward")
 
-        The serving fast path's entry point: every shape missing from
-        the forward memo is lowered (through the plan cache), the
-        missing plans' work columns are stacked with
+    def run_unique(
+        self, inputs_seq: Sequence[IterationInputs], kind: str = "train"
+    ) -> list[IterationResult]:
+        """Results of one pass kind (``"train"`` or ``"forward"``) for
+        many shapes, with one device call for every shape not yet run.
+
+        Every shape missing from the memo gets its bound plan (see
+        :meth:`_plans_for`: one bind for all of them), the missing
+        plans' work columns are stacked with
         :meth:`~repro.hw.timing.WorkBatch.concat`, and one
         :meth:`~repro.hw.device.GpuDevice.run_batch` times them all.
         The timing engine is purely row-wise and per-plan reductions
-        fold exactly the rows that plan contributed, so every cached
-        result is bit-identical to a separate :meth:`run_forward` call —
-        asserted in ``tests/test_plan_equivalence.py``.
+        fold exactly the rows that plan contributed, so every result is
+        bit-identical to running its shape alone — asserted in
+        ``tests/test_plan_equivalence.py``.
 
         Shapes are processed in first-appearance order; the scalar
-        reference path (``batched=False``) simply defers to
-        :meth:`run_forward` per shape.
+        reference path (``batched=False``) lowers and measures them one
+        at a time.
         """
-        missing: list[tuple[tuple[int, int, int | None], IterationInputs]] = []
-        queued: set[tuple[int, int, int | None]] = set()
+        memo = self._memo[kind]
+        missing: dict[tuple[int, int, int | None], IterationInputs] = {}
         for inputs in inputs_seq:
             key = self._key(inputs)
-            if key not in self._fwd_cache and key not in queued:
-                queued.add(key)
-                missing.append((key, inputs))
+            if key not in memo:
+                missing.setdefault(key, inputs)
         if not self.batched:
-            for _, inputs in missing:
-                self.run_forward(inputs)
-        elif len(missing) == 1:
-            self.run_forward(missing[0][1])
+            lower = self._lower(kind)
+            for key, inputs in missing.items():
+                memo[key] = self._measure(lower(inputs, self.device.config))
         elif missing:
-            plans = [self._plan_for(inputs, "forward") for _, inputs in missing]
-            measurement = self.device.run_batch(
-                WorkBatch.concat([plan.work for plan in plans])
-            )
+            plans = self._plans_for(list(missing.values()), kind)
+            if len(plans) == 1:
+                measurement = self.device.run_batch(plans[0].work)
+            else:
+                # A one-off concatenation: memoising it would only pin
+                # its arrays in the device's store.
+                measurement = self.device.run_batch(
+                    WorkBatch.concat([plan.work for plan in plans]),
+                    memoize=False,
+                )
             offset = 0
-            for (key, _), plan in zip(missing, plans):
+            for key, plan in zip(missing, plans):
                 upper = offset + len(plan)
-                self._fwd_cache[key] = self._reduce_plan(
+                memo[key] = self._reduce_plan(
                     plan,
                     measurement.time_s[offset:upper],
                     measurement.counters.rows(offset, upper),
                 )
                 offset = upper
-        return [self._fwd_cache[self._key(inputs)] for inputs in inputs_seq]
+        return [memo[self._key(inputs)] for inputs in inputs_seq]

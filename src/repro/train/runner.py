@@ -24,11 +24,12 @@ Optional multiplicative log-normal noise models run-to-run measurement
 jitter on real hardware; it is off by default so tests are exact.
 
 Orthogonally to the columnar *trace* layout, the kernel-walk itself has
-two implementations: the default batched pipeline (columnar
-:class:`~repro.models.plan.SchedulePlan` per shape, one vectorized
-device call, vectorized autotune candidate racing) and the scalar
-per-invocation reference selected with ``batched=False`` — also
-bit-identical, and the baseline of ``benchmarks/bench_kernel_timing.py``.
+two implementations: the default batched pipeline (each new shape
+lowered once into a structural plan, the epoch's new shapes bound to
+the device config and timed together, autotune charged from the same
+vectorized GEMM race) and the scalar per-invocation reference selected
+with ``batched=False`` — also bit-identical, and the baseline of
+``benchmarks/bench_kernel_timing.py``.
 """
 
 from __future__ import annotations
@@ -64,18 +65,19 @@ def memoized_shape_walk(
     """Walk unique ``(seq_len, tgt_len)`` shapes in first-appearance order.
 
     The shared core of shape-memoized simulation (training and
-    inference): ``run`` executes one :class:`IterationInputs` and
-    returns an :class:`~repro.train.iteration.IterationResult`;
-    ``on_result`` (optional) observes each unique shape's inputs and
-    result in epoch order — the autotune-charging hook.  Returns
-    ``(time_s, profile_id, profiles)`` with the per-shape runtimes
-    already broadcast to every iteration.
+    inference): ``run`` executes a sequence of :class:`IterationInputs`
+    at once and returns their
+    :class:`~repro.train.iteration.IterationResult`\\ s in order (an
+    :meth:`~repro.train.iteration.IterationExecutor.run_unique`, so an
+    epoch's new shapes are bound and timed together); ``on_result``
+    (optional) observes each unique shape's inputs and result in epoch
+    order — the autotune-charging hook.  Returns ``(time_s, profile_id,
+    profiles)`` with the per-shape runtimes already broadcast to every
+    iteration.
     """
     first_iterations, profile_id = dedupe_shapes(seq_len, tgt_len)
-    base_time = np.empty(first_iterations.size, dtype=np.float64)
-    profiles: list[IterationProfile] = []
-    for iteration in first_iterations:
-        inputs = IterationInputs(
+    shapes = [
+        IterationInputs(
             batch=batch,
             seq_len=int(seq_len[iteration]),
             tgt_len=(
@@ -84,7 +86,11 @@ def memoized_shape_walk(
                 else int(tgt_len[iteration])
             ),
         )
-        result = run(inputs)
+        for iteration in first_iterations
+    ]
+    base_time = np.empty(len(shapes), dtype=np.float64)
+    profiles: list[IterationProfile] = []
+    for inputs, result in zip(shapes, run(shapes)):
         if on_result is not None:
             on_result(inputs, result)
         base_time[len(profiles)] = result.time_s
@@ -173,7 +179,8 @@ class TrainingRunSimulator:
             self.eval_dataset, epoch=epoch, seed=self.seed, drop_last=False
         )
         return sum(
-            self.executor.run_forward(inputs).time_s for inputs in plan
+            result.time_s
+            for result in self.executor.run_unique(plan, "forward")
         )
 
     def run_training(
@@ -234,13 +241,15 @@ class TrainingRunSimulator:
             nonlocal autotune_s
             shape_key = (inputs.batch, inputs.seq_len, inputs.tgt_len)
             if shape_key not in self._autotune_settled:
-                for shape in result.gemm_shapes:
+                # Distinct dims in first-launch order: a repeat charges
+                # exactly 0.0, so skipping it leaves the sum unchanged.
+                for shape in dict.fromkeys(result.gemm_shapes):
                     autotune_s += self._autotuner.charge(*shape)
                 self._autotune_settled.add(shape_key)
 
         batch = self.batching.batch_size
         time_s, profile_id, profiles = memoized_shape_walk(
-            seq_len, tgt_len, batch, self.executor.run, charge_autotune
+            seq_len, tgt_len, batch, self.executor.run_unique, charge_autotune
         )
         noise = self._noise_column(epoch, count)
         if noise is not None:

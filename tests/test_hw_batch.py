@@ -134,6 +134,19 @@ class TestDeviceBatch:
     def test_run_batch_memoised_by_identity(self, device1):
         assert device1.run_batch(BATCH) is device1.run_batch(BATCH)
 
+    def test_unmemoised_run_batch_times_identically_and_retains_nothing(self):
+        device = GpuDevice(paper_config(2))
+        clear_measure_caches()
+        once = device.run_batch(BATCH, memoize=False)
+        assert device._store.batch_entries == 0
+        again = device.run_batch(BATCH, memoize=False)
+        assert once is not again
+        memoised = device.run_batch(BATCH)
+        for row in range(len(WORKS)):
+            assert once.row(row) == memoised.row(row)
+        assert device._store.batch_entries == 1
+        clear_measure_caches()
+
     def test_shared_across_equal_config_devices(self):
         clear_measure_caches()
         first = GpuDevice(paper_config(4))
