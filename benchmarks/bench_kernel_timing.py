@@ -4,7 +4,8 @@ Times genuinely *cold* whole-epoch simulation — lowering, autotune
 charging, kernel timing, evaluation pass, measurement noise — on GNMT
 and DS2, twice per trial:
 
-* **scalar**: ``TrainingRunSimulator(batched=False)``, i.e. the
+* **scalar**: a ``TrainingRunSimulator`` switched onto the scalar
+  oracles of ``tests/oracles`` (``scalar_pipeline``), i.e. the
   per-invocation measurement loop and scalar autotune candidate timing
   the pipeline had before the columnar ``SchedulePlan`` refactor;
 * **batched**: the default pipeline — one compiled plan per unique
@@ -33,7 +34,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import sys
 import time
+from pathlib import Path
 
 from repro.api.registry import (
     DATASETS,
@@ -48,6 +51,9 @@ from repro.kernels import clear_lowering_caches
 from repro.models.plan import PLAN_CACHE
 from repro.train.runner import TrainingRunSimulator
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from oracles import scalar_pipeline  # noqa: E402
+
 NETWORKS = ("gnmt", "ds2")
 #: Scalar epoch time below which a runner is too fast/noisy to gate on.
 MIN_RELIABLE_SCALAR_S = 0.15
@@ -57,15 +63,15 @@ def build_simulator(network: str, scale: float, batched: bool) -> TrainingRunSim
     dataset_name = default_dataset(network)
     corpus = DATASETS.create(dataset_name, scale=scale)
     train, evaluation = corpus.split(0.02, seed=7)
-    return TrainingRunSimulator(
+    simulator = TrainingRunSimulator(
         model=MODELS.create(network),
         dataset=train,
         batching=build_batching(default_batching(network), 64, dataset=dataset_name),
         device=GpuDevice(paper_config(1)),
         eval_dataset=evaluation,
         noise_sigma=0.02,
-        batched=batched,
     )
+    return simulator if batched else scalar_pipeline(simulator)
 
 
 def clear_all_caches() -> None:

@@ -94,7 +94,7 @@ SCENARIOS = {
 
 def assert_prefix_bit_identity(engine: AnalysisEngine, spec, consumed: int) -> None:
     """Streamed stats of the consumed prefix == batch group-by of it."""
-    frame = engine.frame_for(spec)
+    frame = engine.trace_for(spec)
     streamed = StreamingSlStatistics.for_frame(frame)
     streamed.absorb_frame(frame, 0, consumed)
     prefix = TraceFrame.from_records(
@@ -102,7 +102,7 @@ def assert_prefix_bit_identity(engine: AnalysisEngine, spec, consumed: int) -> N
         dataset_name=frame.dataset_name,
         config_name=frame.config_name,
         batch_size=frame.batch_size,
-        records=engine.trace_for(spec).records[:consumed],
+        records=frame.build_records()[:consumed],
     )
     assert streamed.statistics() == SlStatistics.from_trace(prefix), (
         "streaming statistics diverged from the batch group-by"
@@ -112,7 +112,7 @@ def assert_prefix_bit_identity(engine: AnalysisEngine, spec, consumed: int) -> N
 def assert_full_stream_matches_batch(engine: AnalysisEngine, spec) -> None:
     """An exhausted stream reproduces the batch engine.run numbers."""
     batch = engine.run(spec)
-    frame = engine.frame_for(spec)
+    frame = engine.trace_for(spec)
     run = StreamingIdentifier(
         spec.build_selector(), cadence=len(frame), patience=10_000
     ).run(
@@ -131,7 +131,7 @@ def assert_full_stream_matches_batch(engine: AnalysisEngine, spec) -> None:
 
 def assert_segmented_is_passthrough(engine: AnalysisEngine, spec, cadence: int) -> None:
     """On a stationary epoch the segmented wrapper is a bit-exact no-op."""
-    frame = engine.frame_for(spec)
+    frame = engine.trace_for(spec)
     base = spec.build_selector().select(frame)
     wrapped = SegmentedSelector(spec.build_selector(), cadence=cadence).select(frame)
     assert [
@@ -151,7 +151,7 @@ def assert_plain_guard_refuses(engine: AnalysisEngine, knobs: dict) -> None:
         **{**knobs["analysis"], "selector": "seqpoint", "selector_kwargs": {}},
         scale=knobs["scale"],
     )
-    frame = engine.frame_for(spec)
+    frame = engine.trace_for(spec)
     run = StreamingIdentifier(
         spec.build_selector(),
         cadence=knobs["cadence"],
@@ -300,7 +300,7 @@ def test_streaming_convergence_bit_identity(scale):
         knobs = dict(SCENARIOS[name])
         gate = knobs.pop("gate")
         analysis = AnalysisSpec(scale=min(scale, 0.05), **knobs.pop("analysis"))
-        frame = engine.frame_for(analysis)
+        frame = engine.trace_for(analysis)
         assert_prefix_bit_identity(engine, analysis, max(1, len(frame) // 2))
         assert_full_stream_matches_batch(engine, analysis)
         if gate == "stationary":

@@ -5,9 +5,9 @@ unique SL, histogram it, and run the full selector sweep (seqpoint,
 frequent, median, prior) — between:
 
 * **legacy**: the pre-columnar pipeline — per-iteration epoch loop
-  (``run_epoch(columnar=False)``) plus the interpreted per-record
-  analysis scans this file preserves verbatim; each selector re-groups
-  the trace, as the pre-refactor selectors did.
+  (``epoch_records_reference`` from ``tests/oracles``) plus the
+  interpreted per-record analysis scans this file preserves verbatim;
+  each selector re-groups the trace, as the pre-refactor selectors did.
 * **columnar**: ``run_epoch_frame`` (one kernel walk per unique shape,
   vectorized planning and broadcasting) plus the vectorized,
   frame-memoised analysis the library now ships.
@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -53,6 +54,9 @@ from repro.core.sl_stats import SlStatistics
 from repro.hw.config import paper_config
 from repro.hw.device import GpuDevice
 from repro.train.runner import TrainingRunSimulator
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from oracles import epoch_records_reference  # noqa: E402
 
 _DATASET = {"gnmt": "iwslt", "ds2": "librispeech"}
 _BATCHING = {"gnmt": "pooled", "ds2": "sortagrad"}
@@ -132,9 +136,8 @@ def legacy_seqpoint(records, max_unique=10, initial_bins=5, threshold=1.0):
         k += 1
 
 
-def legacy_analysis(trace):
+def legacy_analysis(records):
     """The full interpreted sweep: every selector re-scans the records."""
-    records = trace.records
     total_time = sum(record.time_s for record in records)
     histogram = legacy_histogram(records)
     points, error = legacy_seqpoint(records)
@@ -182,8 +185,8 @@ def run_comparison(network: str, scale: float, epochs: int, sigma: float):
     # Cold first epochs on untouched simulators (one-off kernel walks
     # included; that cost is shared by both paths).
     start = time.perf_counter()
-    cold_trace = legacy_sim.run_epoch(epoch=0, include_eval=False, columnar=False)
-    legacy_analysis(cold_trace)
+    cold_records, _ = epoch_records_reference(legacy_sim, epoch=0)
+    legacy_analysis(cold_records)
     cold_legacy = time.perf_counter() - start
     start = time.perf_counter()
     cold_frame = columnar_sim.run_epoch_frame(epoch=0, include_eval=False)
@@ -201,10 +204,8 @@ def run_comparison(network: str, scale: float, epochs: int, sigma: float):
     iterations = unique = 0
     for epoch in range(epochs):
         start = time.perf_counter()
-        trace = legacy_sim.run_epoch(
-            epoch=epoch, include_eval=False, columnar=False
-        )
-        legacy_result = legacy_analysis(trace)
+        records, _ = epoch_records_reference(legacy_sim, epoch=epoch)
+        legacy_result = legacy_analysis(records)
         legacy_times.append(time.perf_counter() - start)
 
         start = time.perf_counter()
@@ -214,7 +215,7 @@ def run_comparison(network: str, scale: float, epochs: int, sigma: float):
 
         iterations = len(frame)
         unique = len(frame.unique_seq_lens())
-        assert frame.time_s.tolist() == [r.time_s for r in trace.records]
+        assert frame.time_s.tolist() == [r.time_s for r in records]
         legacy_result.pop("_median_groups")
         for key, value in columnar_result.items():
             expected = legacy_result[key]

@@ -13,11 +13,11 @@ request lengths, dynamic batching, device FIFO — and reports
 * **SLO percentiles**: request latency p50/p95/p99 per batching
   policy, the serving-facing view of what each policy trades away, and
 * **serve fast path**: the shape-memoized columnar serve
-  (``TrafficSimulator(memoized=True)``, the default) against the
-  retained per-batch scalar walk on one pre-formed paper-scale request
-  stream — bit-identity asserted every trial (frame, latency columns,
-  percentiles, streaming convergence), speedup gated at ≥5x on
-  non-smoke runs (skipped on 1-core hosts).
+  (``TrafficSimulator.serve``) against the per-batch scalar walk
+  (``serve_scalar`` from ``tests/oracles``) on one pre-formed
+  paper-scale request stream — bit-identity asserted every trial
+  (frame, latency columns, percentiles, streaming convergence),
+  speedup gated at ≥5x on non-smoke runs (skipped on 1-core hosts).
 
 Unlike the corpus-replay benches, load here is set by the request
 count and arrival rate — the corpus scale only sets the pool request
@@ -38,7 +38,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -53,6 +55,9 @@ from repro.traffic import (
     form_batches,
     sample_requests,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from oracles import serve_scalar  # noqa: E402
 
 #: The paper's identification-error threshold e (percent), applied to
 #: the streaming projected-vs-actual serving time on stationary mixes.
@@ -233,24 +238,24 @@ def serve_fastpath_rows(engine: AnalysisEngine, scale: float, requests: int):
             resolved.batching, spec.max_wait_s,
         )
         device = GpuDevice(paper_config(spec.analysis.config))
-        simulators = {
-            memoized: TrafficSimulator(
+        memoized_sim, scalar_sim = (
+            TrafficSimulator(
                 resolved.model, spec.analysis.dataset, resolved.batching,
-                device, memoized=memoized,
+                device,
             )
-            for memoized in (True, False)
-        }
+            for _ in range(2)
+        )
         # Warm both executors: repeats then measure serve-path overhead,
         # not first-shape device timing.
-        for simulator in simulators.values():
-            simulator.serve(stream, arrival_s, batches)
+        memoized_sim.serve(stream, arrival_s, batches)
+        serve_scalar(scalar_sim, stream, arrival_s, batches)
         memoized_s = scalar_s = float("inf")
         for _ in range(SERVE_REPEATS):
             start = time.perf_counter()
-            fast = simulators[True].serve(stream, arrival_s, batches)
+            fast = memoized_sim.serve(stream, arrival_s, batches)
             memoized_s = min(memoized_s, time.perf_counter() - start)
             start = time.perf_counter()
-            slow = simulators[False].serve(stream, arrival_s, batches)
+            slow = serve_scalar(scalar_sim, stream, arrival_s, batches)
             scalar_s = min(scalar_s, time.perf_counter() - start)
             assert_served_identical(fast, slow, spec)
         shapes = {(len(b), b.seq_len, b.tgt_len) for b in batches}

@@ -61,7 +61,7 @@ model = SentimentLstm()
 baseline = TrainingRunSimulator(
     model, corpus, ShuffledBatching(32), GpuDevice(paper_config(1))
 )
-trace = baseline.run_epoch(include_eval=False)
+trace = baseline.run_epoch_frame(include_eval=False)
 result = SeqPointSelector().select(trace)
 
 print(f"{model.name}: {model.param_count() / 1e6:.0f}M parameters")
@@ -76,7 +76,7 @@ candidate = TrainingRunSimulator(
     model, corpus, ShuffledBatching(32), GpuDevice(paper_config(3))
 )
 projected = project_epoch_time(result.selection, candidate)
-actual = candidate.run_epoch(include_eval=False).total_time_s
+actual = candidate.run_epoch_frame(include_eval=False).total_time_s
 print(f"\n16-CU projection: {format_duration(projected)} vs actual "
       f"{format_duration(actual)} "
       f"({abs(projected - actual) / actual * 100:.2f}% error) — "

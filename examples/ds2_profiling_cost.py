@@ -32,7 +32,7 @@ simulator = TrainingRunSimulator(
     SortedBatching(BATCH_SIZE, pad_multiple=4),  # SortaGrad first epoch
     GpuDevice(paper_config(1)),
 )
-trace = simulator.run_epoch(include_eval=False)
+trace = simulator.run_epoch_frame(include_eval=False)
 print(f"DS2 epoch: {len(trace)} iterations, "
       f"{len(trace.unique_seq_lens())} unique padded lengths "
       f"({len(trace.unique_seq_lens()) / len(trace):.0%} of iterations — "

@@ -40,7 +40,7 @@ runners = {
     for index in range(1, 6)
 }
 print("simulating ground-truth epochs on all five configurations...")
-traces = {index: sim.run_epoch(include_eval=False) for index, sim in runners.items()}
+traces = {index: sim.run_epoch_frame(include_eval=False) for index, sim in runners.items()}
 
 # Identify every selection on the baseline config only.
 trace1 = traces[1]

@@ -37,7 +37,7 @@ Simulate an epoch and identify SeqPoints (paper Fig 10)::
 
     from repro import TrainingRunSimulator, SeqPointSelector
     runner = TrainingRunSimulator(model, corpus, PooledBucketing(64), device)
-    trace = runner.run_epoch()
+    trace = runner.run_epoch_frame()
     result = SeqPointSelector().select(trace)
 
 Project behaviour on other hardware (paper Figs 11-16)::
@@ -99,7 +99,7 @@ from repro.stream import (
     TraceReplayFeed,
 )
 from repro.traffic import TrafficSimulator, TrafficSpec
-from repro.train import TrainingRunSimulator, TrainingTrace
+from repro.train import TraceFrame, TrainingRunSimulator
 from repro.train.inference import InferenceRunSimulator
 
 __version__ = "1.2.0"
@@ -152,8 +152,8 @@ __all__ = [
     "ProfilingCostModel",
     "export_selection",
     "load_manifest",
+    "TraceFrame",
     "TrainingRunSimulator",
-    "TrainingTrace",
     "InferenceRunSimulator",
     "__version__",
 ]

@@ -7,12 +7,12 @@ keys each trace by a stable hash of the spec fields that determine the
 simulation (:meth:`AnalysisSpec.trace_fingerprint`), so any two
 requests that would simulate the same epoch share one trace — within a
 process through the in-memory map, and across processes through an
-optional on-disk store of the trace's JSON artefact.
+optional on-disk store of the trace's artefact.
 
-Cached traces are frame-backed views: in memory they carry their
-columnar :class:`~repro.train.frame.TraceFrame` (shared by every
-analysis that hits the entry, including the memoised per-SL grouping),
-and on disk they persist as binary columnar ``.npt`` containers whose
+Cached traces are :class:`~repro.train.frame.TraceFrame`\\ s:
+in memory one frame is shared by every analysis that hits the entry
+(including the memoised per-SL grouping), and on disk they persist as
+binary columnar ``.npt`` containers whose
 cold load is an mmap plus dtype views — concurrent sweep workers and
 serve sessions reading one entry share page cache instead of each
 parsing a private copy, and byte accounting uses the real file size.
@@ -43,6 +43,11 @@ produce exactly one simulation — the loser blocks, then loads the
 winner's artefact as a disk hit.  That protocol is what lets the
 process-parallel sweep executor (:mod:`repro.api.parallel`) fan workers
 out over one shared cache directory.
+
+An on-disk artefact is derived data, so a corrupt one (truncated,
+empty, wrong magic) never wedges the cache: the lookup renames it to
+``<name>.corrupt`` under the key's file lock, counts it in
+``quarantined``, and reports a miss, so the trace is recomputed.
 """
 
 from __future__ import annotations
@@ -58,7 +63,8 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any
 
-from repro.train.trace import TrainingTrace
+from repro.errors import StorageError, TraceError
+from repro.train.frame import TraceFrame
 from repro.util.filelock import file_lock
 
 __all__ = ["TraceCache", "trace_nbytes"]
@@ -68,15 +74,14 @@ __all__ = ["TraceCache", "trace_nbytes"]
 _PROFILE_NBYTES = 512
 
 
-def trace_nbytes(trace: TrainingTrace) -> int:
-    """Footprint of a trace's columnar frame, in bytes.
+def trace_nbytes(frame: TraceFrame) -> int:
+    """Footprint of a trace frame, in bytes.
 
     Frames backed by a binary container report the container's real
     on-disk size (the columns are views into that mapping, so the
     mapping *is* the footprint).  Purely in-memory frames fall back to
     summing column buffers plus a flat per-profile estimate.
     """
-    frame = trace.frame()
     storage = frame.storage
     if storage is not None:
         return int(storage.nbytes)
@@ -90,7 +95,7 @@ def trace_nbytes(trace: TrainingTrace) -> int:
 
 
 class TraceCache:
-    """Keyed store of :class:`TrainingTrace` artefacts.
+    """Keyed store of :class:`TraceFrame` artefacts.
 
     ``max_bytes``/``max_entries`` bound the in-memory tier (LRU
     eviction, counted in ``evictions``); ``None`` means unbounded, the
@@ -111,12 +116,14 @@ class TraceCache:
         self.directory = Path(directory) if directory is not None else None
         self.max_bytes = max_bytes
         self.max_entries = max_entries
-        #: key -> (trace, nbytes), least-recently-used first.
-        self._memory: OrderedDict[str, tuple[TrainingTrace, int]] = OrderedDict()
+        #: key -> (frame, nbytes), least-recently-used first.
+        self._memory: OrderedDict[str, tuple[TraceFrame, int]] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.bytes = 0
+        #: Corrupt disk artefacts set aside as ``*.corrupt``.
+        self.quarantined = 0
         self._lock = threading.Lock()
         self._key_locks: dict[str, threading.Lock] = {}
         #: format -> {"count", "seconds", "max_s"} for cold disk loads.
@@ -140,7 +147,7 @@ class TraceCache:
             return None
         return self.directory / f"{key}.npt"
 
-    def _admit(self, key: str, trace: TrainingTrace, size: int | None = None) -> None:
+    def _admit(self, key: str, frame: TraceFrame, size: int | None = None) -> None:
         """Insert ``key`` as most-recent and evict back under budget.
 
         Caller holds ``self._lock``.  Eviction walks LRU-first and may,
@@ -148,11 +155,11 @@ class TraceCache:
         new entry itself — admission control for pathological inputs.
         """
         if size is None:
-            size = trace_nbytes(trace)
+            size = trace_nbytes(frame)
         previous = self._memory.pop(key, None)
         if previous is not None:
             self.bytes -= previous[1]
-        self._memory[key] = (trace, size)
+        self._memory[key] = (frame, size)
         self.bytes += size
         while self._memory and (
             (self.max_bytes is not None and self.bytes > self.max_bytes)
@@ -171,46 +178,70 @@ class TraceCache:
         entry["seconds"] += seconds
         entry["max_s"] = max(entry["max_s"], seconds)
 
-    def get(self, key: str) -> TrainingTrace | None:
+    def _memory_hit(self, key: str) -> TraceFrame | None:
+        """The resident frame for ``key``, counted as a hit, or ``None``."""
+        with self._lock:
+            entry = self._memory.get(key)
+            if entry is None:
+                return None
+            self._memory.move_to_end(key)
+            self.hits += 1
+            return entry[0]
+
+    def get(self, key: str) -> TraceFrame | None:
         """Look ``key`` up (memory, then disk), counting the outcome.
 
         The disk tier prefers the binary ``.npt`` artefact (mmap +
         views) and falls back to legacy JSON; cold-load latency is
-        recorded per format for :meth:`storage_stats`.
+        recorded per format for :meth:`storage_stats`.  A disk artefact
+        that fails to load is quarantined and counts as a miss.
         """
-        with self._lock:
-            entry = self._memory.get(key)
-            if entry is not None:
-                self._memory.move_to_end(key)
-                self.hits += 1
-                return entry[0]
+        frame = self._memory_hit(key)
+        if frame is None:
+            with self._file_lock(key):
+                frame = self._load(key)
+        return frame
+
+    def _load(self, key: str) -> TraceFrame | None:
+        """Memory, then disk; the caller holds ``key``'s file lock."""
+        frame = self._memory_hit(key)
+        if frame is not None:
+            return frame
         for path, fmt in ((self._npt_path(key), "binary"), (self._path(key), "json")):
             if path is not None and path.exists():
                 started = time.perf_counter()
-                trace = TrainingTrace.load(path)
+                try:
+                    frame = TraceFrame.load(path)
+                except (StorageError, TraceError):
+                    # Derived data: set it aside so the key recomputes
+                    # instead of failing every later lookup.
+                    os.replace(path, path.with_name(f"{path.name}.corrupt"))
+                    with self._lock:
+                        self.quarantined += 1
+                    continue
                 elapsed = time.perf_counter() - started
                 with self._lock:
-                    self._admit(key, trace)
+                    self._admit(key, frame)
                     self._record_load(fmt, elapsed)
                     self.hits += 1
-                return trace
+                return frame
         with self._lock:
             self.misses += 1
         return None
 
-    def put(self, key: str, trace: TrainingTrace) -> None:
+    def put(self, key: str, frame: TraceFrame) -> None:
         path = self._npt_path(key)
         size = None
         if path is not None:
             # Write-then-rename so a concurrent reader either sees the
             # previous artefact or the complete new one, never a prefix.
             staging = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-            trace.save(staging)
+            frame.save(staging)
             # Honest byte accounting: charge the real artefact size.
             size = staging.stat().st_size
             os.replace(staging, path)
         with self._lock:
-            self._admit(key, trace, size)
+            self._admit(key, frame, size)
 
     @contextmanager
     def _file_lock(self, key: str) -> Iterator[None]:
@@ -219,8 +250,8 @@ class TraceCache:
             yield
 
     def get_or_compute(
-        self, key: str, compute: Callable[[], TrainingTrace]
-    ) -> TrainingTrace:
+        self, key: str, compute: Callable[[], TraceFrame]
+    ) -> TraceFrame:
         """Return the cached trace, computing and storing it on a miss.
 
         Concurrent callers with the same key serialise on a per-key
@@ -228,22 +259,20 @@ class TraceCache:
         caches) on an advisory file lock — so the expensive simulation
         runs exactly once; every other caller observes a hit.
         """
+        # Memory hits skip the locks entirely: entries are immutable once
+        # stored and writes land by atomic rename, so the fast path can
+        # never observe a partial artefact.
+        frame = self._memory_hit(key)
+        if frame is not None:
+            return frame
         with self._lock:
-            # Memory hits skip the locks entirely: entries are immutable
-            # once stored and writes land by atomic rename, so the fast
-            # path can never observe a partial artefact.
-            entry = self._memory.get(key)
-            if entry is not None:
-                self._memory.move_to_end(key)
-                self.hits += 1
-                return entry[0]
             key_lock = self._key_locks.setdefault(key, threading.Lock())
         with key_lock, self._file_lock(key):
-            trace = self.get(key)
-            if trace is None:
-                trace = compute()
-                self.put(key, trace)
-            return trace
+            frame = self._load(key)
+            if frame is None:
+                frame = compute()
+                self.put(key, frame)
+            return frame
 
     def stats(self) -> dict[str, int]:
         with self._lock:
@@ -256,11 +285,12 @@ class TraceCache:
             }
 
     def storage_stats(self) -> dict[str, Any]:
-        """Disk-tier observability: entry counts and cold-load latency.
+        """Disk-tier observability: entry counts, cold-load latency and
+        quarantined artefacts.
 
         Separate from :meth:`stats` (whose exact shape is API) — this
-        reports per-format on-disk entry counts and the cold-load
-        counters accumulated by :meth:`get`.
+        reports per-format on-disk entry counts plus the cold-load and
+        quarantine counters accumulated by :meth:`get`.
         """
         disk_entries = {"json": 0, "binary": 0}
         if self.directory is not None and self.directory.is_dir():
@@ -268,10 +298,12 @@ class TraceCache:
             disk_entries["binary"] = sum(1 for _ in self.directory.glob("*.npt"))
         with self._lock:
             cold_loads = {fmt: dict(entry) for fmt, entry in self._loads.items()}
+            quarantined = self.quarantined
         return {
             "directory": None if self.directory is None else str(self.directory),
             "disk_entries": disk_entries,
             "cold_loads": cold_loads,
+            "quarantined": quarantined,
         }
 
     def clear(self) -> None:
@@ -282,6 +314,7 @@ class TraceCache:
             self.misses = 0
             self.evictions = 0
             self.bytes = 0
+            self.quarantined = 0
             self._loads = {}
 
     def __len__(self) -> int:

@@ -44,7 +44,6 @@ from repro.hw.device import GpuDevice
 from repro.models.spec import Model
 from repro.train.frame import TraceFrame
 from repro.train.runner import TrainingRunSimulator
-from repro.train.trace import TrainingTrace
 from repro.util.stats import percent_error
 
 __all__ = [
@@ -413,33 +412,24 @@ class AnalysisEngine:
         """Cache key of the spec's identification trace."""
         return trace_key(spec, self.noise_sigma)
 
-    def trace_for(self, spec: AnalysisSpec) -> TrainingTrace:
-        """The spec's simulated identification epoch, through the cache.
-
-        The returned trace is a thin view over a columnar
-        :class:`TraceFrame`; no per-iteration records are materialised
-        unless a caller explicitly touches ``.records``.
-        """
+    def trace_for(self, spec: AnalysisSpec) -> TraceFrame:
+        """The spec's simulated identification epoch, through the cache."""
         return self.cache.get_or_compute(
             self.trace_key(spec),
-            lambda: self.runner_for(spec).run_epoch(include_eval=True),
+            lambda: self.runner_for(spec).run_epoch_frame(include_eval=True),
         )
-
-    def frame_for(self, spec: AnalysisSpec) -> TraceFrame:
-        """The identification epoch's columnar frame (cached)."""
-        return self.trace_for(spec).frame()
 
     # -- execution ----------------------------------------------------
 
     def _select(
-        self, spec: AnalysisSpec, trace: TrainingTrace
+        self, spec: AnalysisSpec, trace: TraceFrame
     ) -> tuple[Selection, int | None, float, float]:
         """Apply the spec's selector; uniform numbers for any method.
 
-        Selectors receive the columnar frame, so a sweep of selectors
-        over one scenario shares a single vectorized per-SL grouping.
+        A sweep of selectors over one scenario shares the frame, and
+        with it a single vectorized per-SL grouping.
         """
-        outcome = spec.build_selector().select(trace.frame())
+        outcome = spec.build_selector().select(trace)
         if isinstance(outcome, SeqPointResult):
             return (
                 outcome.selection,
@@ -574,7 +564,7 @@ class AnalysisEngine:
             raise ConfigurationError(
                 f"run_streaming expects a StreamSpec, got {type(stream).__name__}"
             )
-        frame = self.frame_for(stream.analysis)
+        frame = self.trace_for(stream.analysis)
         feed = TraceReplayFeed(frame, chunk_size=stream.chunk_size)
         run = stream.build_identifier().run(
             feed, stats=StreamingSlStatistics.for_frame(frame)
@@ -686,9 +676,8 @@ class AnalysisEngine:
                 )
 
             base = simulator(spec.config)
-            trace = base.run_pass()
-            frame = trace.frame()
-            selection, k, error, projected = self._select(spec, trace)
+            frame = base.run_pass()
+            selection, k, error, projected = self._select(spec, frame)
             projections = []
             for target in targets:
                 other = simulator(target)
@@ -733,9 +722,7 @@ class AnalysisEngine:
             )
             served = base_sim.serve(workload, arrival_s, batches)
             frame = served.frame
-            selection, k, error, projected = self._select(
-                spec, frame.to_trace()
-            )
+            selection, k, error, projected = self._select(spec, frame)
             base_cost = project_total(
                 selection,
                 lambda point: base_sim.measure_seq_len(

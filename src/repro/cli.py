@@ -42,8 +42,8 @@ Nine subcommands cover the common workflows:
     end to end, and exit 0.
 
 ``repro trace convert SOURCE DEST [--to 3]``
-    Migrate a trace artefact between storage versions (v1/v2 JSON and
-    the v3 binary columnar container), verifying the converted file
+    Migrate a trace artefact (v1/v2 JSON or the v3 binary columnar
+    container) to v2 JSON or v3 binary, verifying the converted file
     reloads bit-identically before reporting success.
 
 ``repro experiments [--scale 0.1] [--ids fig11,fig12] [--output F]``
@@ -428,8 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
     convert.add_argument("dest", help="output path")
     convert.add_argument(
         "--to", type=int, default=3, dest="to_version", metavar="VERSION",
-        help="output format version: 3 binary columnar (default), "
-        "2 columnar JSON, 1 row JSON",
+        help="output format version: 3 binary columnar (default) or "
+        "2 columnar JSON (v1 row JSON is read-only)",
     )
 
     experiments = commands.add_parser(
@@ -1094,14 +1094,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_trace_convert(args: argparse.Namespace) -> int:
     """Convert a trace artefact between versions, verifying bit-identity."""
-    from repro.train.trace import TrainingTrace
+    from repro.train.frame import TraceFrame
 
     try:
-        trace = TrainingTrace.load(args.source)
-        original = json.dumps(trace.frame().to_payload(), sort_keys=True)
-        trace.save(args.dest, version=args.to_version)
-        reloaded = TrainingTrace.load(args.dest)
-        if json.dumps(reloaded.frame().to_payload(), sort_keys=True) != original:
+        frame = TraceFrame.load(args.source)
+        original = json.dumps(frame.to_payload(), sort_keys=True)
+        frame.save(args.dest, version=args.to_version)
+        reloaded = TraceFrame.load(args.dest)
+        if json.dumps(reloaded.to_payload(), sort_keys=True) != original:
             raise ReproError(
                 f"{args.dest}: round-trip mismatch — converted artefact "
                 "does not reload bit-identically"
@@ -1111,7 +1111,7 @@ def _cmd_trace_convert(args: argparse.Namespace) -> int:
         return 2
     print(
         f"converted {args.source} -> {args.dest} "
-        f"(v{args.to_version}, {len(trace.frame())} iterations, "
+        f"(v{args.to_version}, {len(frame)} iterations, "
         "round trip verified)"
     )
     return 0

@@ -11,9 +11,9 @@ The paper compares SeqPoint against four alternatives:
   window of contiguous iterations after a fixed warmup, and scale the
   window's mean iteration time by the epoch's iteration count.
 
-All selectors operate on the trace's columnar frame (and accept either
-a :class:`TrainingTrace` or a :class:`TraceFrame` directly), so the
-per-iteration work is vectorized and records materialise only for the
+All selectors operate on the trace's columnar
+:class:`~repro.train.frame.TraceFrame`, so the per-iteration work is
+vectorized and records materialise only for the
 handful of selected points.  All return
 :class:`~repro.core.selection.Selection`, so every projection utility
 applies uniformly.
@@ -26,8 +26,7 @@ import numpy as np
 from repro.core.selection import SelectedPoint, Selection
 from repro.core.sl_stats import SlStatistics
 from repro.errors import SelectionError
-from repro.train.frame import TraceFrame, as_frame
-from repro.train.trace import TrainingTrace
+from repro.train.frame import TraceFrame
 
 __all__ = [
     "FrequentSelector",
@@ -53,7 +52,7 @@ class FrequentSelector:
 
     METHOD = "frequent"
 
-    def select(self, trace: TrainingTrace | TraceFrame) -> Selection:
+    def select(self, trace: TraceFrame) -> Selection:
         statistics = SlStatistics.from_trace(trace)
         best = statistics.stats[int(np.argmax(statistics.iterations_column))]
         return _single_point(self.METHOD, statistics, best.seq_len)
@@ -64,10 +63,9 @@ class MedianSelector:
 
     METHOD = "median"
 
-    def select(self, trace: TrainingTrace | TraceFrame) -> Selection:
-        frame = as_frame(trace)
-        statistics = SlStatistics.from_trace(frame)
-        ordered = np.sort(frame.seq_len)
+    def select(self, trace: TraceFrame) -> Selection:
+        statistics = SlStatistics.from_trace(trace)
+        ordered = np.sort(trace.seq_len)
         median_sl = int(ordered[ordered.size // 2])
         return _single_point(self.METHOD, statistics, median_sl)
 
@@ -81,7 +79,7 @@ class WorstSelector:
 
     METHOD = "worst"
 
-    def select(self, trace: TrainingTrace | TraceFrame) -> Selection:
+    def select(self, trace: TraceFrame) -> Selection:
         statistics = SlStatistics.from_trace(trace)
         actual = statistics.total_time_s
         total_iterations = statistics.total_iterations
@@ -121,9 +119,8 @@ class PriorSelector:
         self.warmup = warmup
         self.window = window
 
-    def select(self, trace: TrainingTrace | TraceFrame) -> Selection:
-        frame = as_frame(trace)
-        total = len(frame)
+    def select(self, trace: TraceFrame) -> Selection:
+        total = len(trace)
         if total == 0:
             raise SelectionError("prior: empty trace")
         start = min(self.warmup, max(0, total - self.window))
@@ -135,7 +132,7 @@ class PriorSelector:
             )
         weight = total / (stop - start)
         points = tuple(
-            SelectedPoint(record=frame.record(index), weight=weight)
+            SelectedPoint(record=trace.record(index), weight=weight)
             for index in range(start, stop)
         )
         return Selection(

@@ -18,7 +18,6 @@ from repro.core.selection import SelectedPoint, Selection
 from repro.core.sl_stats import SlStat, SlStatistics
 from repro.errors import SelectionError
 from repro.train.frame import TraceFrame
-from repro.train.trace import TrainingTrace
 from repro.util.rng import make_rng
 
 __all__ = ["KMeansSelector", "kmeans_cluster"]
@@ -93,7 +92,7 @@ class KMeansSelector:
         self.k = k
         self.seed = seed
 
-    def select(self, trace: TrainingTrace | TraceFrame) -> Selection:
+    def select(self, trace: TraceFrame) -> Selection:
         statistics = SlStatistics.from_trace(trace)
         stats = list(statistics)
         k = min(self.k, len(stats))

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.core.binning import Bin
 from repro.errors import SelectionError
-from repro.train.trace import IterationRecord
+from repro.train.frame import IterationRecord
 
 __all__ = ["SelectedPoint", "Selection", "select_from_bin"]
 

@@ -24,7 +24,6 @@ from repro.core.selection import SelectedPoint, Selection, select_from_bin
 from repro.core.sl_stats import SlStatistics
 from repro.errors import SelectionError
 from repro.train.frame import TraceFrame
-from repro.train.trace import TrainingTrace
 from repro.util.stats import percent_error
 
 __all__ = ["SeqPointSelector", "SeqPointResult"]
@@ -107,11 +106,10 @@ class SeqPointSelector:
         projected = project_logged_time(selection)
         return projected, percent_error(projected, actual_total_s)
 
-    def select(self, trace: TrainingTrace | TraceFrame) -> SeqPointResult:
+    def select(self, trace: TraceFrame) -> SeqPointResult:
         """Run the full identification loop on ``trace``.
 
-        Accepts a row-oriented trace or its columnar frame directly;
-        the per-SL grouping is computed once per frame and shared with
+        The per-SL grouping is computed once per frame and shared with
         any other selector run on the same trace.
         """
         statistics = SlStatistics.from_trace(trace)

@@ -21,8 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from repro.errors import TraceError
-from repro.train.frame import TraceFrame, as_frame
-from repro.train.trace import IterationRecord, TrainingTrace
+from repro.train.frame import IterationRecord, TraceFrame
 
 __all__ = ["SlStat", "SlStatistics"]
 
@@ -51,11 +50,8 @@ class SlStatistics:
     stats: tuple[SlStat, ...]
 
     @classmethod
-    def from_trace(
-        cls, trace: TrainingTrace | TraceFrame
-    ) -> "SlStatistics":
-        """Group a trace (or its frame) by unique sequence length."""
-        frame = as_frame(trace)
+    def from_trace(cls, frame: TraceFrame) -> "SlStatistics":
+        """Group a trace by unique sequence length."""
         if len(frame) == 0:
             raise TraceError("cannot compute SL statistics of an empty trace")
         return frame.cached("sl_statistics", lambda: cls._from_frame(frame))

@@ -22,7 +22,7 @@ _COUNTERS = ("valu_insts", "dram_read_bytes", "dram_write_bytes")
 
 def counter_errors(network: str, scale: float = 1.0) -> dict[str, float]:
     """Counter name -> projection error % on the identification config."""
-    frame = epoch_trace(network, 1, scale).frame()
+    frame = epoch_trace(network, 1, scale)
     selection = seqpoint_result(network, scale).selection
     errors: dict[str, float] = {}
     for counter in _COUNTERS:

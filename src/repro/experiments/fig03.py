@@ -31,7 +31,7 @@ def run(scale: float = 1.0) -> ExperimentResult:
         ShuffledBatching(BATCH_SIZE),
         device,
     )
-    gnmt_trace = gnmt_runner.run_epoch(include_eval=False)
+    gnmt_trace = gnmt_runner.run_epoch_frame(include_eval=False)
 
     # The CNN consumes the same batches; its lowering ignores lengths.
     cnn_runner = TrainingRunSimulator(
@@ -40,11 +40,11 @@ def run(scale: float = 1.0) -> ExperimentResult:
         ShuffledBatching(BATCH_SIZE),
         device,
     )
-    cnn_trace = cnn_runner.run_epoch(include_eval=False)
+    cnn_trace = cnn_runner.run_epoch_frame(include_eval=False)
 
     count = min(_ITERATIONS, len(gnmt_trace), len(cnn_trace))
-    gnmt_times = gnmt_trace.frame().time_s[:count].tolist()
-    cnn_times = cnn_trace.frame().time_s[:count].tolist()
+    gnmt_times = gnmt_trace.time_s[:count].tolist()
+    cnn_times = cnn_trace.time_s[:count].tolist()
     gnmt_mean = sum(gnmt_times) / count
     cnn_mean = sum(cnn_times) / count
 

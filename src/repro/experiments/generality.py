@@ -54,11 +54,11 @@ def generality_outcome(network: str, scale: float = 1.0) -> dict[str, float]:
         )
 
     base = simulator(1)
-    trace = base.run_epoch(include_eval=False)
+    trace = base.run_epoch_frame(include_eval=False)
     result = SeqPointSelector().select(trace)
 
     other = simulator(3)
-    actual = other.run_epoch(include_eval=False).total_time_s
+    actual = other.run_epoch_frame(include_eval=False).total_time_s
     projected = project_epoch_time(result.selection, other)
     return {
         "iterations": float(len(trace)),

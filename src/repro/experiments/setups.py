@@ -26,8 +26,8 @@ from repro.api.spec import DEFAULT_BATCH_SIZE, AnalysisSpec
 from repro.data.batching import BatchingPolicy
 from repro.data.dataset import SequenceDataset
 from repro.models.spec import Model
+from repro.train.frame import TraceFrame
 from repro.train.runner import TrainingRunSimulator
-from repro.train.trace import TrainingTrace
 
 __all__ = [
     "Scenario",
@@ -90,6 +90,6 @@ def runner(
 @lru_cache(maxsize=None)
 def epoch_trace(
     network: str, config_index: int, scale: float = 1.0
-) -> TrainingTrace:
+) -> TraceFrame:
     """One simulated training epoch (memoised ground truth)."""
     return default_engine().trace_for(_spec(network, config_index, scale))

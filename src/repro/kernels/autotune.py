@@ -13,20 +13,20 @@ that cost to the first epoch and the SeqPoint pipeline ignores it, as
 the paper prescribes (Key point: autotune runs once, so representative
 runs exclude it).
 
-``batched=True`` charges from the vectorized candidate race
+Charges come from the vectorized candidate race
 (:func:`repro.kernels.gemm.candidate_times`) — the same race that bound
 the plans' GEMM variants, remembered per config, so charging a problem
 a plan already raced times nothing — instead of materialising and
 timing each candidate invocation in Python.  The accumulated cost is
-bit-identical: the race rows are bit-identical per candidate and the
-pruned subset is summed in the reference loop's left-to-right order.
+bit-identical to that per-candidate loop (the test oracle): the race
+rows are bit-identical per candidate and the pruned subset is summed in
+the loop's left-to-right order.
 """
 
 from __future__ import annotations
 
 from repro.hw.config import HardwareConfig
-from repro.hw.timing import time_work
-from repro.kernels.gemm import GEMM_VARIANTS, build_gemm, candidate_times
+from repro.kernels.gemm import GEMM_VARIANTS, candidate_times
 
 __all__ = ["Autotuner"]
 
@@ -47,21 +47,11 @@ def _candidate_indices(m: int, n: int) -> list[int]:
     return feasible or [len(GEMM_VARIANTS) - 1]
 
 
-def _candidate_variants(m: int, n: int):
-    """Variants a library would actually try for this shape.
-
-    Derived from :func:`_candidate_indices` so the scalar and batched
-    autotune paths can never disagree on the pruning rule.
-    """
-    return [GEMM_VARIANTS[index] for index in _candidate_indices(m, n)]
-
-
 class Autotuner:
     """Tracks which GEMM shapes have been tuned on one device config."""
 
-    def __init__(self, config: HardwareConfig, batched: bool = False):
+    def __init__(self, config: HardwareConfig):
         self._config = config
-        self._batched = batched
         self._tuned: set[tuple[int, int, int]] = set()
         self._total_cost_s = 0.0
 
@@ -80,25 +70,13 @@ class Autotuner:
         if shape in self._tuned:
             return 0.0
         self._tuned.add(shape)
-        if self._batched:
-            cost = self._charge_batched(m, n, k)
-        else:
-            cost = self._charge_reference(m, n, k)
+        cost = self._cost(m, n, k)
         self._total_cost_s += cost
         return cost
 
-    def _charge_reference(self, m: int, n: int, k: int) -> float:
-        """The scalar candidate loop — the bit-identity reference."""
-        cost = 0.0
-        for variant in _candidate_variants(m, n):
-            candidate = build_gemm(variant, m, n, k)
-            elapsed, _, _ = time_work(candidate.work, self._config)
-            cost += elapsed * _TRIALS_PER_VARIANT
-        return cost
-
-    def _charge_batched(self, m: int, n: int, k: int) -> float:
+    def _cost(self, m: int, n: int, k: int) -> float:
         """Charge from the race over all variants: the pruned subset
-        accumulated in reference (left-to-right) order."""
+        accumulated in left-to-right order."""
         times = candidate_times(m, n, k, self._config).tolist()
         cost = 0.0
         for index in _candidate_indices(m, n):

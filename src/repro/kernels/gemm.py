@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.errors import KernelSelectionError
 from repro.hw.config import HardwareConfig
-from repro.hw.timing import WorkBatch, time_work, time_work_batch
+from repro.hw.timing import WorkBatch, time_work_batch
 from repro.kernels.base import FLOAT_BYTES, KernelInvocation, make_invocation
 
 __all__ = [
@@ -313,20 +313,6 @@ def candidate_times(m: int, n: int, k: int, config: HardwareConfig) -> np.ndarra
     if min(m, n, k) <= 0:
         raise KernelSelectionError(f"GEMM dims must be positive, got {(m, n, k)}")
     return _raced([(m, n, k)], config)[0][0]
-
-
-def _select_reference(m: int, n: int, k: int, config: HardwareConfig) -> GemmVariant:
-    """The pre-vectorized selection loop, kept as the bit-identity
-    reference for :func:`_select` (tests assert they agree)."""
-    best: GemmVariant | None = None
-    best_time = math.inf
-    for variant in GEMM_VARIANTS:
-        candidate = build_gemm(variant, m, n, k)
-        elapsed, _, _ = time_work(candidate.work, config)
-        if elapsed < best_time:
-            best, best_time = variant, elapsed
-    assert best is not None  # GEMM_VARIANTS is non-empty
-    return best
 
 
 def _select(m: int, n: int, k: int, config: HardwareConfig) -> GemmVariant:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from repro.core.selection import Selection
 from repro.errors import ProjectionError
-from repro.train.trace import TrainingTrace
+from repro.train.frame import TraceFrame
 
 __all__ = ["ProfilingCostModel", "ProfilingSpeedups"]
 
@@ -53,7 +53,7 @@ class ProfilingCostModel:
         if self.setup_s < 0.0:
             raise ProjectionError("setup time cannot be negative")
 
-    def epoch_profiling_s(self, trace: TrainingTrace) -> float:
+    def epoch_profiling_s(self, trace: TraceFrame) -> float:
         """Profiling a whole epoch, serially on one machine."""
         return self.setup_s + trace.total_time_s * self.overhead_multiplier
 
@@ -74,7 +74,7 @@ class ProfilingCostModel:
         return self.setup_s + slowest * self.overhead_multiplier
 
     def speedups(
-        self, trace: TrainingTrace, selection: Selection
+        self, trace: TraceFrame, selection: Selection
     ) -> ProfilingSpeedups:
         return ProfilingSpeedups(
             full_epoch_s=self.epoch_profiling_s(trace),

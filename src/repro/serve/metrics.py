@@ -9,8 +9,9 @@ histogram per endpoint *template* (``POST /jobs``, ``GET /jobs/<id>``,
 
 :func:`storage_snapshot` formats the storage tier for ``/stats``:
 per-format (json/binary) on-disk trace-cache entry counts, cold-load
-latency counters, and — when the daemon runs with a plan store — the
-store's entry/hit/miss counters.
+latency counters, the count of corrupt artefacts quarantined, and —
+when the daemon runs with a plan store — the store's entry/hit/miss
+counters.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ def storage_snapshot(cache: Any, plan_store: Any = None) -> dict[str, Any]:
         "directory": stats["directory"],
         "disk_entries": stats["disk_entries"],
         "cold_loads": cold_loads,
+        "quarantined": stats["quarantined"],
         "plan_store": None if plan_store is None else plan_store.stats(),
     }
 

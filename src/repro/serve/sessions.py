@@ -38,7 +38,7 @@ from repro.serve.protocol import NotFoundError, ProtocolError
 from repro.stream.feed import FrameSlice
 from repro.stream.spec import StreamSpec
 from repro.stream.stats import StreamingSlStatistics
-from repro.train.trace import IterationRecord
+from repro.train.frame import IterationRecord
 
 __all__ = ["SessionManager", "StreamSession"]
 
@@ -65,7 +65,7 @@ class StreamSession:
         if replay:
             # Through the shared cache: concurrent sessions over one
             # scenario share a single simulated epoch.
-            self._frame = engine.frame_for(spec.analysis)
+            self._frame = engine.trace_for(spec.analysis)
             stats = StreamingSlStatistics.for_frame(self._frame)
         else:
             analysis = spec.analysis

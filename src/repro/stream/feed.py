@@ -4,12 +4,11 @@ A *feed* is any iterable of chunks, where each chunk is either
 
 * a :class:`FrameSlice` — a columnar window ``frame[start:stop)`` (the
   fast path for replayed traces), or
-* an iterable of :class:`~repro.train.trace.IterationRecord` (the
+* an iterable of :class:`~repro.train.frame.IterationRecord` (the
   generic path for genuinely live producers).
 
-:class:`TraceReplayFeed` replays a logged
-:class:`~repro.train.trace.TrainingTrace` / :class:`TraceFrame` — or a
-trace-JSON artefact of either schema version — as such a stream, so
+:class:`TraceReplayFeed` replays a logged :class:`TraceFrame` — or a
+trace artefact of any schema version — as such a stream, so
 every cached epoch can exercise the online identification path exactly
 as a live training run would.
 """
@@ -21,8 +20,7 @@ from pathlib import Path
 from typing import Iterator
 
 from repro.errors import TraceError
-from repro.train.frame import TraceFrame, as_frame
-from repro.train.trace import TrainingTrace
+from repro.train.frame import TraceFrame
 
 __all__ = ["FrameSlice", "TraceReplayFeed", "replay"]
 
@@ -55,17 +53,17 @@ class TraceReplayFeed:
     knows its epoch length, which live feeds generally would not.
     """
 
-    def __init__(self, trace: TrainingTrace | TraceFrame, chunk_size: int = 1):
+    def __init__(self, frame: TraceFrame, chunk_size: int = 1):
         if chunk_size <= 0:
             raise TraceError(f"chunk_size must be positive, got {chunk_size}")
-        self.frame = as_frame(trace)
+        self.frame = frame
         if len(self.frame) == 0:
             raise TraceError("cannot replay an empty trace")
         self.chunk_size = chunk_size
 
     @classmethod
     def load(cls, path: str | Path, chunk_size: int = 1) -> "TraceReplayFeed":
-        """Replay a trace-JSON artefact (v1 or v2 schema)."""
+        """Replay a trace artefact (any schema version)."""
         return cls(TraceFrame.load(path), chunk_size=chunk_size)
 
     def __len__(self) -> int:
@@ -82,8 +80,6 @@ class TraceReplayFeed:
             )
 
 
-def replay(
-    trace: TrainingTrace | TraceFrame, chunk_size: int = 1
-) -> TraceReplayFeed:
+def replay(frame: TraceFrame, chunk_size: int = 1) -> TraceReplayFeed:
     """Shorthand for :class:`TraceReplayFeed`."""
-    return TraceReplayFeed(trace, chunk_size=chunk_size)
+    return TraceReplayFeed(frame, chunk_size=chunk_size)

@@ -47,7 +47,7 @@ from repro.core.selection import SelectedPoint, Selection
 from repro.core.seqpoint import SeqPointResult
 from repro.core.sl_stats import SlStatistics
 from repro.errors import ConfigurationError
-from repro.train.frame import TraceFrame, as_frame
+from repro.train.frame import TraceFrame
 from repro.util.stats import percent_error
 
 __all__ = [
@@ -462,8 +462,7 @@ class SegmentedSelector:
             )
         )
 
-    def select(self, trace: Any) -> Any:
-        frame = as_frame(trace)
+    def select(self, frame: TraceFrame) -> Any:
         segments = self.segment(frame)
         if len(segments) == 1:
             # Degenerate quasi-stationary stream: stay out of the way

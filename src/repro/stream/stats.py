@@ -27,16 +27,13 @@ reuse the streaming group-by instead of recomputing it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 import numpy as np
 
 from repro.errors import TraceError
 from repro.core.sl_stats import SlStatistics
-from repro.train.frame import NO_TGT, IterationProfile, TraceFrame
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.train.trace import IterationRecord
+from repro.train.frame import NO_TGT, IterationProfile, IterationRecord, TraceFrame
 
 __all__ = ["StreamingSlStatistics"]
 
@@ -182,7 +179,7 @@ class StreamingSlStatistics:
         self._counts[seq_len] = self._counts.get(seq_len, 0) + 1
         self._totals[seq_len] = self._totals.get(seq_len, 0.0) + time_s
 
-    def absorb(self, record: "IterationRecord") -> None:
+    def absorb(self, record: IterationRecord) -> None:
         """Absorb one iteration record."""
         self._account(record.seq_len, record.time_s)
         self._index.append(record.index)
@@ -201,7 +198,7 @@ class StreamingSlStatistics:
             )
         )
 
-    def absorb_many(self, records: Iterable["IterationRecord"]) -> None:
+    def absorb_many(self, records: Iterable[IterationRecord]) -> None:
         """Absorb an in-order batch of iteration records."""
         for record in records:
             self.absorb(record)

@@ -67,10 +67,10 @@ class FormedBatch:
 class BatchColumns:
     """Columnar twin of a formed-batch list.
 
-    The vectorized formation path computes every per-batch quantity as
-    an array before materialising :class:`FormedBatch` objects; keeping
-    those arrays lets the serving fast path stay columnar end to end
-    instead of re-gathering fields batch by batch.  ``members`` is the
+    Formation computes every per-batch quantity as an array before
+    materialising :class:`FormedBatch` objects; keeping those arrays
+    lets serving stay columnar end to end instead of re-gathering fields
+    batch by batch.  ``members`` is the
     full request permutation in batch order; batch ``b`` owns
     ``members[starts[b]:starts[b] + sizes[b]]``.
     """
@@ -115,15 +115,21 @@ def form_batches(
     tgt_len: np.ndarray,
     policy: BatchingPolicy,
     max_wait_s: float,
-    vectorized: bool = True,
 ) -> list[FormedBatch]:
     """Form serving batches from an arrival-ordered request stream.
 
-    ``vectorized`` picks between two bit-identical implementations: the
-    default columnar one (precomputed flush points, one global stable
-    sort) and the scalar event loop the columnar path is asserted
-    against (property tests sweep policies × arrival processes ×
-    seeds).
+    Equivalent to an event loop making one decision per request (the
+    test oracle, property-tested across policies × arrival processes ×
+    seeds), computed column-wise.  Flush pools are contiguous arrival
+    ranges, so the event loop collapses to: from pool start ``s``, the
+    deadline break is the first request arriving strictly after
+    ``arrival[s] + max_wait`` (one ``searchsorted`` over precomputed
+    deadlines); the capacity trigger wins iff the pool fills before
+    that break, flushing at the capacity-filling arrival, else the
+    whole range flushes at the deadline (end-of-stream included — same
+    formula).  Within-pool ordering is one global stable lexsort (pool
+    id major, seq_len minor) instead of one argsort per flush;
+    per-batch padded maxima come from ``np.maximum.reduceat``.
     """
     if not max_wait_s > 0.0:
         raise ConfigurationError(
@@ -139,90 +145,12 @@ def form_batches(
         )
     if arrival_s.size and np.any(np.diff(arrival_s) < 0):
         raise ConfigurationError("arrival times must be non-decreasing")
-    if vectorized:
-        return _form_batches_columnar(
-            arrival_s, seq_len, tgt_len, policy, max_wait_s
-        )
-    return _form_batches_scalar(
-        arrival_s, seq_len, tgt_len, policy, max_wait_s
-    )
-
-
-def _form_batches_scalar(
-    arrival_s: np.ndarray,
-    seq_len: np.ndarray,
-    tgt_len: np.ndarray,
-    policy: BatchingPolicy,
-    max_wait_s: float,
-) -> list[FormedBatch]:
-    """Reference event loop: one pass, one decision per request."""
-    bucketed, capacity = _policy_queue(policy)
-    batch_size = policy.batch_size
-    batches: list[FormedBatch] = []
-    waiting: list[int] = []  # request indices, arrival order
-
-    def flush(now: float) -> None:
-        """Close everything waiting into consecutive batches at ``now``."""
-        pool = np.asarray(waiting, dtype=np.int64)
-        if bucketed:
-            pool = pool[np.argsort(seq_len[pool], kind="stable")]
-        for lo in range(0, pool.size, batch_size):
-            members = pool[lo:lo + batch_size]
-            tgt_max = int(tgt_len[members].max())
-            batches.append(
-                FormedBatch(
-                    form_time_s=now,
-                    members=members,
-                    seq_len=policy._pad(int(seq_len[members].max())),
-                    tgt_len=(
-                        NO_TGT if tgt_max == NO_TGT
-                        else policy._pad(tgt_max)
-                    ),
-                )
-            )
-        waiting.clear()
-
-    for index in range(arrival_s.size):
-        now = float(arrival_s[index])
-        if waiting and arrival_s[waiting[0]] + max_wait_s < now:
-            flush(float(arrival_s[waiting[0]]) + max_wait_s)
-        waiting.append(index)
-        if capacity is not None and len(waiting) >= capacity:
-            flush(now)
-    if waiting:
-        # Stream exhausted: the remainder goes out when the oldest
-        # waiting request's deadline expires (never before it arrived —
-        # the arrival loop guarantees every member predates this).
-        flush(float(arrival_s[waiting[0]]) + max_wait_s)
-    return batches
-
-
-def _form_batches_columnar(
-    arrival_s: np.ndarray,
-    seq_len: np.ndarray,
-    tgt_len: np.ndarray,
-    policy: BatchingPolicy,
-    max_wait_s: float,
-) -> list[FormedBatch]:
-    """Columnar formation, bit-identical to the scalar event loop.
-
-    Flush pools are contiguous arrival ranges, so the event loop
-    collapses to: from pool start ``s``, the deadline break is the
-    first request arriving strictly after ``arrival[s] + max_wait``
-    (one ``searchsorted`` over precomputed deadlines); the capacity
-    trigger wins iff the pool fills before that break, flushing at the
-    capacity-filling arrival, else the whole range flushes at the
-    deadline (end-of-stream included — same formula).  Within-pool
-    ordering is one global stable lexsort (pool id major, seq_len
-    minor) instead of one argsort per flush; per-batch padded maxima
-    come from ``np.maximum.reduceat``.
-    """
     total = int(arrival_s.size)
     if total == 0:
         return []
     bucketed, capacity = _policy_queue(policy)
     batch_size = policy.batch_size
-    # Per-request deadline, computed with the same float add the scalar
+    # Per-request deadline, computed with the same float add the event
     # loop performs; breaks[s] = first index arriving strictly later.
     deadline = arrival_s + max_wait_s
     breaks = np.searchsorted(arrival_s, deadline, side="right")

@@ -1,10 +1,9 @@
 """Training-run simulation: epochs of iterations on a simulated GPU."""
 
-from repro.train.frame import IterationProfile, TraceFrame, as_frame
+from repro.train.frame import IterationProfile, IterationRecord, TraceFrame
 from repro.train.inference import InferenceRunSimulator
 from repro.train.iteration import IterationExecutor, IterationResult
 from repro.train.runner import TrainingRunSimulator
-from repro.train.trace import IterationRecord, TrainingTrace
 
 __all__ = [
     "IterationExecutor",
@@ -14,6 +13,4 @@ __all__ = [
     "TraceFrame",
     "TrainingRunSimulator",
     "IterationRecord",
-    "TrainingTrace",
-    "as_frame",
 ]

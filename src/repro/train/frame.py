@@ -15,24 +15,25 @@ iterations are bit-identical before measurement noise.  A
   an :class:`IterationProfile` pool, with an integer ``profile_id``
   column mapping iterations onto it.
 
-:class:`~repro.train.trace.TrainingTrace` and
-:class:`~repro.train.trace.IterationRecord` remain as thin row-oriented
-views for API compatibility; they materialise from a frame on demand.
+Rows materialise on demand as :class:`IterationRecord` views
+(:meth:`TraceFrame.record`), the type selections and per-SL statistics
+report their representative iterations in.
 
 Frames serialise to the binary columnar ``repro.training-trace.v3``
 container by default — an mmap-able ``.npt`` file whose cold load is a
 handful of zero-copy dtype views plus an O(unique shapes) profile-pool
 rebuild, no per-row parsing — with the compact columnar v2 JSON
 (``save(version=2)``, diffable) and legacy v1 row JSON still loading
-transparently.  All three round-trip bit-exactly: v3 stores the raw
-float64 column bytes, and JSON uses shortest-round-trip float repr.
+transparently (v1 is read-only).  All three round-trip bit-exactly: v3
+stores the raw float64 column bytes, and JSON uses shortest-round-trip
+float repr.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, TypeVar
+from typing import Any, Callable, TypeVar
 
 import numpy as np
 
@@ -41,13 +42,10 @@ from repro.hw.counters import CounterSet
 from repro.util.npt import ColumnStore, is_npt, write_columns
 from repro.util.serialize import dump_json, read_json
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.train.trace import IterationRecord, TrainingTrace
-
 __all__ = [
     "IterationProfile",
+    "IterationRecord",
     "TraceFrame",
-    "as_frame",
     "dedupe_shapes",
     "SCHEMA_V1",
     "SCHEMA_V2",
@@ -65,6 +63,25 @@ NO_TGT = -1
 _COUNTER_FIELDS = tuple(f.name for f in dataclass_fields(CounterSet))
 
 _T = TypeVar("_T")
+
+
+@dataclass(frozen=True)
+class IterationRecord:
+    """One iteration as logged by the runner: a row of a frame."""
+
+    index: int
+    epoch: int
+    seq_len: int
+    tgt_len: int | None
+    time_s: float
+    launches: int
+    counters: CounterSet
+    group_times: dict[str, float]
+    kernel_names: frozenset[str]
+
+    def __post_init__(self) -> None:
+        if self.time_s <= 0:
+            raise TraceError(f"iteration {self.index}: non-positive time")
 
 
 @dataclass(frozen=True)
@@ -195,7 +212,8 @@ class TraceFrame:
         autotune_s: float = 0.0,
         eval_s: float = 0.0,
     ) -> "TraceFrame":
-        """Columnarise a row-oriented record list (the compat path)."""
+        """Columnarise a row-oriented record list (v1 loads, live feeds
+        and hand-built traces)."""
         records = tuple(records)
         pool: dict[tuple, int] = {}
         profiles: list[IterationProfile] = []
@@ -436,8 +454,6 @@ class TraceFrame:
         """
         if self._source_records is not None:
             return self._source_records[i]
-        from repro.train.trace import IterationRecord
-
         profile = self.profiles[int(self.profile_id[i])]
         return IterationRecord(
             index=int(self.index[i]),
@@ -458,12 +474,6 @@ class TraceFrame:
         if self._source_records is not None:
             return list(self._source_records)
         return [self.record(i) for i in range(len(self))]
-
-    def to_trace(self) -> "TrainingTrace":
-        """Wrap this frame in the row-oriented compatibility view."""
-        from repro.train.trace import TrainingTrace
-
-        return TrainingTrace.from_frame(self)
 
     # -- persistence --------------------------------------------------
 
@@ -510,7 +520,10 @@ class TraceFrame:
         elif version == 2:
             dump_json(self.to_payload(), path, SCHEMA_V2)
         else:
-            raise TraceError(f"unknown trace format version {version!r}")
+            raise TraceError(
+                f"unknown trace format version {version!r}; "
+                "writable versions are 2 and 3"
+            )
 
     def _save_npt(self, path: str | Path) -> None:
         """Write the v3 binary container (columns + CSR profile pool).
@@ -693,8 +706,6 @@ class TraceFrame:
         Rows rebuild into :class:`IterationRecord` views and delegate to
         :meth:`from_records`, so v1 loads share one pooling path.
         """
-        from repro.train.trace import IterationRecord
-
         records = [
             IterationRecord(
                 index=row["index"],
@@ -734,7 +745,10 @@ class TraceFrame:
                     f"{store.schema!r}; expected {SCHEMA_V3!r}"
                 )
             return cls._from_npt(store)
-        document = read_json(path)
+        try:
+            document = read_json(path)
+        except ValueError as exc:  # undecodable bytes or malformed JSON
+            raise TraceError(f"{Path(path)}: not a trace artefact: {exc}") from None
         schema = document.get("schema")
         if schema == SCHEMA_V2:
             return cls.from_payload(document)
@@ -768,15 +782,3 @@ def dedupe_shapes(
     rank = np.empty(appearance.size, dtype=np.int64)
     rank[appearance] = np.arange(appearance.size)
     return first_index[appearance], rank[inverse]
-
-
-def as_frame(trace: "TraceFrame | TrainingTrace") -> TraceFrame:
-    """Coerce a trace-like object to its columnar frame."""
-    if isinstance(trace, TraceFrame):
-        return trace
-    frame = getattr(trace, "frame", None)
-    if callable(frame):
-        return frame()
-    raise TypeError(
-        f"expected a TraceFrame or TrainingTrace, got {type(trace).__name__}"
-    )

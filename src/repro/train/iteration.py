@@ -6,23 +6,18 @@ whole epoch only pays lowering cost once per unique (seq_len, tgt_len)
 pair — that is what makes full-epoch simulation cheap enough to treat
 as ground truth.
 
-Two measurement paths exist:
-
-* the default **batched** path lowers each shape once without a
-  hardware config into a structural plan, binds the GEMM variants of
-  all the shapes it is asked for to the device's config in one step
-  (both through the process-wide :data:`~repro.models.plan.PLAN_CACHE`,
-  so equal shapes are lowered once per process and bound once per
-  config, not once per executor), and times them with a single
-  vectorized :meth:`~repro.hw.device.GpuDevice.run_batch` call;
-* the **scalar** reference path (``batched=False``) lowers with the
-  config and walks the merged schedule invocation by invocation,
-  exactly as before the columnar refactor.
-
-Both produce bit-identical :class:`IterationResult`\\ s — the batched
-reductions replay the scalar loop's left-to-right accumulation — which
-tests/test_plan_equivalence.py asserts across models, shapes, hardware
-configurations, and noise seeds.
+Measurement lowers each shape once without a hardware config into a
+structural plan, binds the GEMM variants of all the shapes it is asked
+for to the device's config in one step (both through the process-wide
+:data:`~repro.models.plan.PLAN_CACHE`, so equal shapes are lowered once
+per process and bound once per config, not once per executor), and
+times them with a single vectorized
+:meth:`~repro.hw.device.GpuDevice.run_batch` call.  The reductions
+replay a per-invocation walk's left-to-right accumulation, so each
+:class:`IterationResult` is bit-identical to lowering with the config
+and timing the merged schedule invocation by invocation — the oracle
+tests/test_plan_equivalence.py compares against across models, shapes,
+hardware configurations, and noise seeds.
 """
 
 from __future__ import annotations
@@ -36,7 +31,6 @@ from repro.hw.counters import CounterColumns, CounterSet
 from repro.hw.device import GpuDevice
 from repro.hw.timing import WorkBatch
 from repro.models.plan import PLAN_CACHE, SchedulePlan, bind_plans, compile_plan
-from repro.models.schedule import KernelSchedule
 from repro.models.spec import IterationInputs, Model
 from repro.util.stats import sequential_sum
 
@@ -73,14 +67,12 @@ class IterationExecutor:
         model: Model,
         device: GpuDevice,
         host_overhead_s: float = DEFAULT_HOST_OVERHEAD_S,
-        batched: bool = True,
     ):
         if host_overhead_s < 0:
             raise ValueError("host_overhead_s cannot be negative")
         self.model = model
         self.device = device
         self.host_overhead_s = host_overhead_s
-        self.batched = batched
         #: Pass kind -> shape key -> result.
         self._memo: dict[str, dict[tuple[int, int, int | None], IterationResult]] = {
             "train": {},
@@ -89,32 +81,6 @@ class IterationExecutor:
 
     def _key(self, inputs: IterationInputs) -> tuple[int, int, int | None]:
         return (inputs.batch, inputs.seq_len, inputs.tgt_len)
-
-    def _measure(self, schedule: KernelSchedule) -> IterationResult:
-        """Scalar reference: per-invocation measurement and accumulation."""
-        time_s = self.host_overhead_s
-        launches = 0
-        counters = CounterSet.zero()
-        group_times: dict[str, float] = {}
-        names: set[str] = set()
-        for invocation, count in schedule.merged():
-            measurement = self.device.run(invocation.work)
-            time_s += measurement.time_s * count
-            launches += count
-            counters = counters + measurement.counters.scaled(count)
-            group_times[invocation.group] = (
-                group_times.get(invocation.group, 0.0)
-                + measurement.time_s * count
-            )
-            names.add(invocation.name)
-        return IterationResult(
-            time_s=time_s,
-            launches=launches,
-            counters=counters,
-            group_times=group_times,
-            kernel_names=frozenset(names),
-            gemm_shapes=tuple(schedule.gemm_shapes()),
-        )
 
     def _reduce_plan(
         self,
@@ -235,11 +201,8 @@ class IterationExecutor:
         The timing engine is purely row-wise and per-plan reductions
         fold exactly the rows that plan contributed, so every result is
         bit-identical to running its shape alone — asserted in
-        ``tests/test_plan_equivalence.py``.
-
-        Shapes are processed in first-appearance order; the scalar
-        reference path (``batched=False``) lowers and measures them one
-        at a time.
+        ``tests/test_plan_equivalence.py``.  Shapes are processed in
+        first-appearance order.
         """
         memo = self._memo[kind]
         missing: dict[tuple[int, int, int | None], IterationInputs] = {}
@@ -247,11 +210,7 @@ class IterationExecutor:
             key = self._key(inputs)
             if key not in memo:
                 missing.setdefault(key, inputs)
-        if not self.batched:
-            lower = self._lower(kind)
-            for key, inputs in missing.items():
-                memo[key] = self._measure(lower(inputs, self.device.config))
-        elif missing:
+        if missing:
             plans = self._plans_for(list(missing.values()), kind)
             if len(plans) == 1:
                 measurement = self.device.run_batch(plans[0].work)

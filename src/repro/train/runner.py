@@ -1,35 +1,27 @@
 """Training-run simulator: epochs, autotune phase, evaluation phase.
 
 Drives the iteration executor over a batching plan to produce a
-:class:`~repro.train.trace.TrainingTrace`.  Reproduces the two
+:class:`~repro.train.frame.TraceFrame`.  Reproduces the two
 non-training phases the paper discusses and excludes from its
 representative runs: the framework *autotune* pass (charged once per
 new GEMM shape — expensive in the first epoch, free afterwards) and
 the end-of-epoch *evaluation* pass (forward-only on a held-out set,
 empirically 2-3% of epoch time).
 
-The default epoch path is *shape-memoized and columnar*: per Key
-Observation 4, every iteration with the same padded
-``(batch, seq_len, tgt_len)`` shape performs identical work, so an
-epoch walks the kernel schedule once per unique shape — O(unique SLs)
-— and broadcasts the results into a
-:class:`~repro.train.frame.TraceFrame` with vectorized column
-operations.  Autotune charging follows first appearances (repeat
-charges are exactly ``0.0`` in the per-iteration path) and
-per-iteration log-normal noise is applied on top, so the produced trace
-is bit-identical to the per-iteration reference path, which is kept as
-``columnar=False`` for equivalence tests and benchmarks.
+An epoch is *shape-memoized and columnar*: per Key Observation 4,
+every iteration with the same padded ``(batch, seq_len, tgt_len)``
+shape performs identical work, so an epoch walks the kernel schedule
+once per unique shape — O(unique SLs) — and broadcasts the results into
+a frame with vectorized column operations.  The epoch's new shapes are
+lowered once into structural plans, bound to the device config and
+timed together, and autotune is charged from the same vectorized GEMM
+race, following first appearances (a repeat charge is exactly ``0.0``).
+Per-iteration log-normal noise is applied on top, so the frame is
+bit-identical to a per-iteration walk of the epoch; the tests keep that
+walk as their oracle.
 
 Optional multiplicative log-normal noise models run-to-run measurement
 jitter on real hardware; it is off by default so tests are exact.
-
-Orthogonally to the columnar *trace* layout, the kernel-walk itself has
-two implementations: the default batched pipeline (each new shape
-lowered once into a structural plan, the epoch's new shapes bound to
-the device config and timed together, autotune charged from the same
-vectorized GEMM race) and the scalar per-invocation reference selected
-with ``batched=False`` — also bit-identical, and the baseline of
-``benchmarks/bench_kernel_timing.py``.
 """
 
 from __future__ import annotations
@@ -49,7 +41,6 @@ from repro.train.frame import (
     dedupe_shapes,
 )
 from repro.train.iteration import DEFAULT_HOST_OVERHEAD_S, IterationExecutor
-from repro.train.trace import IterationRecord, TrainingTrace
 from repro.util.rng import derive_seed, make_rng
 
 __all__ = ["TrainingRunSimulator", "memoized_shape_walk"]
@@ -121,7 +112,6 @@ class TrainingRunSimulator:
         noise_sigma: float = 0.0,
         seed: int = 0,
         noise_seed: int | None = None,
-        batched: bool = True,
     ):
         if noise_sigma < 0:
             raise ConfigurationError("noise_sigma cannot be negative")
@@ -136,17 +126,11 @@ class TrainingRunSimulator:
         # the data order: it gets its own seed so two runs of the same
         # epoch plan on different hardware have independent noise.
         self.noise_seed = seed if noise_seed is None else noise_seed
-        # ``batched=False`` selects the scalar reference pipeline end to
-        # end (per-invocation measurement loop and scalar autotune
-        # candidate timing) — bit-identical, kept for equivalence tests
-        # and benchmarks/bench_kernel_timing.py.
-        self.executor = IterationExecutor(
-            model, device, host_overhead_s, batched=batched
-        )
-        self._autotuner = Autotuner(device.config, batched=batched)
+        self.executor = IterationExecutor(model, device, host_overhead_s)
+        self._autotuner = Autotuner(device.config)
         # Iteration shapes whose GEMM shapes have all been charged:
-        # re-charging would contribute exactly 0.0, so the columnar
-        # path skips the whole charge loop for them.
+        # re-charging would contribute exactly 0.0, so the epoch skips
+        # the whole charge loop for them.
         self._autotune_settled: set[tuple[int, int, int | None]] = set()
 
     def _noise(self, epoch: int, index: int) -> float:
@@ -185,7 +169,7 @@ class TrainingRunSimulator:
 
     def run_training(
         self, epochs: int, include_eval: bool = True
-    ) -> list[TrainingTrace]:
+    ) -> list[TraceFrame]:
         """Simulate several epochs (paper Fig 2's training-run structure).
 
         The autotune phase is charged only where shapes first appear —
@@ -195,36 +179,19 @@ class TrainingRunSimulator:
         if epochs <= 0:
             raise ConfigurationError(f"epochs must be positive, got {epochs}")
         return [
-            self.run_epoch(epoch=epoch, include_eval=include_eval)
+            self.run_epoch_frame(epoch=epoch, include_eval=include_eval)
             for epoch in range(epochs)
         ]
-
-    def run_epoch(
-        self,
-        epoch: int = 0,
-        include_eval: bool = True,
-        *,
-        columnar: bool = True,
-    ) -> TrainingTrace:
-        """Simulate one epoch and return its trace.
-
-        ``columnar=False`` selects the per-iteration reference path; it
-        produces a bit-identical trace and exists for equivalence tests
-        and the ``bench_trace_columnar`` comparison.
-        """
-        if not columnar:
-            return self._run_epoch_reference(epoch, include_eval)
-        return TrainingTrace.from_frame(self.run_epoch_frame(epoch, include_eval))
 
     def run_epoch_frame(
         self, epoch: int = 0, include_eval: bool = True
     ) -> TraceFrame:
-        """Simulate one epoch directly into a columnar frame.
+        """Simulate one epoch and return its trace.
 
         Kernel walks happen once per unique ``(seq_len, tgt_len)``
-        shape, in first-appearance order so autotune accounting matches
-        the per-iteration path exactly; runtimes are broadcast back to
-        all iterations and noised per iteration.
+        shape, in first-appearance order so autotune charges accrue in
+        epoch order; runtimes are broadcast back to all iterations and
+        noised per iteration.
         """
         seq_len, tgt_len = self.batching.plan_epoch_columns(
             self.dataset, epoch=epoch, seed=self.seed
@@ -269,48 +236,6 @@ class TrainingRunSimulator:
             autotune_s=autotune_s,
             eval_s=self._eval_phase_time(epoch) if include_eval else 0.0,
         )
-
-    def _run_epoch_reference(
-        self, epoch: int = 0, include_eval: bool = True
-    ) -> TrainingTrace:
-        """The pre-columnar per-iteration epoch loop, kept verbatim.
-
-        Ground truth for the bit-identity guarantee of
-        :meth:`run_epoch_frame` and the baseline of
-        ``benchmarks/bench_trace_columnar.py``.
-        """
-        plan = self.batching.plan_epoch(self.dataset, epoch=epoch, seed=self.seed)
-        if not plan:
-            raise ConfigurationError(
-                f"{self.dataset.name}: dataset too small for one "
-                f"batch of {self.batching.batch_size}"
-            )
-        trace = TrainingTrace(
-            model_name=self.model.name,
-            dataset_name=self.dataset.name,
-            config_name=self.device.config.name,
-            batch_size=self.batching.batch_size,
-        )
-        for index, inputs in enumerate(plan):
-            result = self.executor.run(inputs)
-            for shape in result.gemm_shapes:
-                trace.autotune_s += self._autotuner.charge(*shape)
-            trace.records.append(
-                IterationRecord(
-                    index=index,
-                    epoch=epoch,
-                    seq_len=inputs.seq_len,
-                    tgt_len=inputs.tgt_len,
-                    time_s=result.time_s * self._noise(epoch, index),
-                    launches=result.launches,
-                    counters=result.counters,
-                    group_times=result.group_times,
-                    kernel_names=result.kernel_names,
-                )
-            )
-        if include_eval:
-            trace.eval_s = self._eval_phase_time(epoch)
-        return trace
 
     def measure_seq_len(self, seq_len: int, tgt_len: int | None = None) -> float:
         """Runtime of a single iteration at ``seq_len`` on this device.

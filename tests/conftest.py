@@ -12,7 +12,7 @@ import pytest
 from repro.hw.config import paper_config
 from repro.hw.counters import CounterSet
 from repro.hw.device import GpuDevice
-from repro.train.trace import IterationRecord, TrainingTrace
+from repro.train.frame import IterationRecord, TraceFrame
 
 
 @pytest.fixture(scope="session")
@@ -55,21 +55,26 @@ def make_trace(
     model_name: str = "toy",
     config_name: str = "config#1",
     batch_size: int = 64,
-) -> TrainingTrace:
+    autotune_s: float = 0.0,
+    eval_s: float = 0.0,
+) -> TraceFrame:
     """A synthetic trace from (seq_len, time_s) pairs, in order."""
-    trace = TrainingTrace(
+    return TraceFrame.from_records(
         model_name=model_name,
         dataset_name="synthetic",
         config_name=config_name,
         batch_size=batch_size,
+        records=[
+            make_record(index, seq_len, time_s)
+            for index, (seq_len, time_s) in enumerate(seq_len_times)
+        ],
+        autotune_s=autotune_s,
+        eval_s=eval_s,
     )
-    for index, (seq_len, time_s) in enumerate(seq_len_times):
-        trace.records.append(make_record(index, seq_len, time_s))
-    return trace
 
 
 @pytest.fixture
-def linear_trace() -> TrainingTrace:
+def linear_trace() -> TraceFrame:
     """Iterations whose runtime is exactly linear in SL (10..100)."""
     pairs = []
     for seq_len in range(10, 101, 10):

@@ -1,0 +1,41 @@
+"""Scalar reference implementations the shipped columnar paths are
+checked against.
+
+Each layer of ``repro`` ships one path: batched lowering and timing,
+shape-memoized epochs, column-wise batch formation, shape-memoized
+serving.  The per-invocation, per-iteration, per-request and per-batch
+loops those paths replaced live here, unchanged in substance, as the
+ground truth of the bit-identity tests and the baseline of the speedup
+benches (``benchmarks/`` put ``tests/`` on ``sys.path`` to import them).
+"""
+
+from .kernels import (
+    ReferenceAutotuner,
+    candidate_variants,
+    charge_reference,
+    select_reference,
+)
+from .traffic import form_batches_scalar, serve_scalar
+from .train import (
+    ScalarExecutor,
+    epoch_records_reference,
+    run_epoch_reference,
+    run_pass_reference,
+    scalar_pipeline,
+)
+from .trace_v1 import save_v1
+
+__all__ = [
+    "ReferenceAutotuner",
+    "ScalarExecutor",
+    "candidate_variants",
+    "charge_reference",
+    "epoch_records_reference",
+    "form_batches_scalar",
+    "run_epoch_reference",
+    "run_pass_reference",
+    "save_v1",
+    "scalar_pipeline",
+    "select_reference",
+    "serve_scalar",
+]

@@ -87,7 +87,7 @@ class TestDisk:
         assert restored is not None
         assert reader.stats()["hits"] == 1
         assert restored.total_time_s == trace.total_time_s
-        assert [r.seq_len for r in restored.records] == [10, 20]
+        assert [r.seq_len for r in restored.build_records()] == [10, 20]
 
     def test_disk_hit_populates_memory(self, tmp_path):
         TraceCache(tmp_path).put("k", small_trace())
@@ -174,6 +174,7 @@ class TestBinaryStorage:
             "directory": None,
             "disk_entries": {"json": 0, "binary": 0},
             "cold_loads": {},
+            "quarantined": 0,
         }
 
     def test_cold_loads_counted_per_format(self, tmp_path):
@@ -206,12 +207,12 @@ class TestBinaryStorage:
         TraceCache(tmp_path).put("a", small_trace())
         cache = TraceCache(tmp_path, max_entries=1)
         trace = cache.get("a")  # mmap-backed cold load
-        assert trace.frame().storage is not None
+        assert trace.storage is not None
         cache.put("b", small_trace())  # evicts a from memory
         assert cache.stats()["evictions"] == 1
         (tmp_path / "a.npt").unlink()  # POSIX: the mapping pins the pages
-        assert [r.seq_len for r in trace.records] == [10, 20]
-        assert trace.frame().time_s.sum() == 3.0
+        assert [r.seq_len for r in trace.build_records()] == [10, 20]
+        assert trace.time_s.sum() == 3.0
 
     def test_clear_resets_cold_load_counters(self, tmp_path):
         TraceCache(tmp_path).put("k", small_trace())
@@ -235,6 +236,59 @@ class TestBinaryStorage:
         second = TraceCache(tmp_path).get_or_compute("k", compute)
         assert len(calls) == 1  # second instance hit the artefact
         assert first.total_time_s == second.total_time_s
+
+
+def _truncate(path, size: int = 200) -> None:
+    with path.open("r+b") as handle:
+        handle.truncate(size)
+
+
+def _zero_length(path) -> None:
+    path.write_bytes(b"")
+
+
+def _bad_magic(path) -> None:
+    data = bytearray(path.read_bytes())
+    data[:4] = b"XXXX"
+    path.write_bytes(bytes(data))
+
+
+class TestQuarantine:
+    """A corrupt disk artefact is set aside and recomputed, not fatal."""
+
+    @pytest.mark.parametrize("corrupt", [_truncate, _zero_length, _bad_magic])
+    def test_corrupt_entry_recomputes_bit_identically(self, tmp_path, corrupt):
+        TraceCache(tmp_path).put("k", small_trace())
+        corrupt(tmp_path / "k.npt")
+        cache = TraceCache(tmp_path)
+        frame = cache.get_or_compute("k", small_trace)
+        assert frame.to_payload() == small_trace().to_payload()
+        assert cache.storage_stats()["quarantined"] == 1
+        assert (tmp_path / "k.npt.corrupt").exists()
+        assert cache.stats()["misses"] == 1
+        # The recomputed artefact replaced the corrupt one on disk.
+        fresh = TraceCache(tmp_path)
+        assert fresh.get("k").to_payload() == frame.to_payload()
+        assert fresh.storage_stats()["quarantined"] == 0
+        assert fresh.storage_stats()["disk_entries"] == {"json": 0, "binary": 1}
+
+    def test_get_reports_corrupt_entry_as_miss(self, tmp_path):
+        TraceCache(tmp_path).put("k", small_trace())
+        _truncate(tmp_path / "k.npt")
+        cache = TraceCache(tmp_path)
+        assert cache.get("k") is None
+        assert cache.stats()["misses"] == 1
+        assert cache.storage_stats()["quarantined"] == 1
+        assert "k" not in cache
+        cache.clear()
+        assert cache.storage_stats()["quarantined"] == 0
+
+    def test_corrupt_legacy_json_is_quarantined(self, tmp_path):
+        (tmp_path / "k.json").write_text("{not json")
+        cache = TraceCache(tmp_path)
+        assert cache.get_or_compute("k", small_trace).total_time_s == 3.0
+        assert cache.storage_stats()["quarantined"] == 1
+        assert (tmp_path / "k.json.corrupt").exists()
 
 
 class TestCounterThreadSafety:

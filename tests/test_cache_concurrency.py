@@ -15,6 +15,8 @@ from pathlib import Path
 from repro.api import AnalysisEngine, SweepSpec, run_sweep
 from repro.api.spec import AnalysisSpec
 
+from oracles import save_v1
+
 KEY = "deadbeef" * 8
 SCALE = 0.01
 
@@ -22,7 +24,7 @@ SCALE = 0.01
 def _build_trace(directory: str):
     """A cheap synthetic trace; touching a sentinel records the compute."""
     from repro.hw.counters import CounterSet
-    from repro.train.trace import IterationRecord, TrainingTrace
+    from repro.train.frame import IterationRecord, TraceFrame
 
     (Path(directory) / f"simulated.{os.getpid()}").touch()
     time.sleep(0.2)  # widen the race window
@@ -40,7 +42,7 @@ def _build_trace(directory: str):
         )
         for index in range(3)
     ]
-    return TrainingTrace("m", "d", "c", 4, records=records)
+    return TraceFrame.from_records("m", "d", "c", 4, records=records)
 
 
 def _cache_worker(directory, barrier, results):
@@ -87,7 +89,7 @@ class TestLegacyArtefacts:
         engine = AnalysisEngine()
         trace = engine.trace_for(spec)
         path = tmp_path / f"{engine.trace_key(spec)}.json"
-        trace.save(path, version=1)  # a pre-columnar cache directory
+        save_v1(trace, path)  # a pre-columnar cache directory
         stamp = path.stat().st_mtime_ns
 
         sweep = SweepSpec(networks=("gnmt",), scales=(SCALE,))

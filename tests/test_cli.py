@@ -164,6 +164,23 @@ class TestAnalyze:
         assert main(args) == 0  # second run reuses the on-disk trace
         assert json.loads(capsys.readouterr().out) == first
 
+    def test_corrupt_cache_entry_heals(self, tmp_path, capsys):
+        args = ["analyze", "--network", "gnmt", "--scale", "0.02",
+                "--targets", "1", "--cache-dir", str(tmp_path),
+                "--format", "json"]
+        assert main(args) == 0
+        first = json.loads(capsys.readouterr().out)
+        (artefact,) = tmp_path.glob("*.npt")
+        with artefact.open("r+b") as handle:
+            handle.truncate(200)
+        for _ in range(2):  # the first run recomputes, the second hits
+            assert main(args) == 0
+            captured = capsys.readouterr()
+            assert json.loads(captured.out) == first
+            assert captured.err == ""
+        assert (tmp_path / f"{artefact.name}.corrupt").exists()
+        assert len(list(tmp_path.glob("*.npt"))) == 1
+
 
 class TestSweep:
     def test_json_output_matches_library(self, capsys):
@@ -493,10 +510,10 @@ class TestTraceConvert:
 
     @staticmethod
     def payload(path):
-        from repro.train.trace import TrainingTrace
+        from repro.train.frame import TraceFrame
 
         return json.dumps(
-            TrainingTrace.load(path).frame().to_payload(), sort_keys=True
+            TraceFrame.load(path).to_payload(), sort_keys=True
         )
 
     def test_v2_json_to_v3_binary(self, tmp_path, capsys):
@@ -523,13 +540,16 @@ class TestTraceConvert:
     def test_unknown_target_version_clean_error(self, tmp_path, capsys):
         src = tmp_path / "t.json"
         self.seed_trace().save(src, version=2)
-        assert main(
-            ["trace", "convert", str(src), str(tmp_path / "o"), "--to", "99"]
-        ) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert "unknown trace format version 99" in err
-        assert "Traceback" not in err
+        # v1 is read-only: writing it fails like an unknown version.
+        for version in ("1", "99"):
+            assert main(
+                ["trace", "convert", str(src), str(tmp_path / "o"), "--to", version]
+            ) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1
+            assert f"unknown trace format version {version}" in err
+            assert "Traceback" not in err
+            assert not (tmp_path / "o").exists()
 
     def test_missing_source_clean_error(self, tmp_path, capsys):
         assert main(

@@ -1,11 +1,12 @@
 """The columnar path's bit-identity guarantee.
 
-The shape-memoized epoch (``run_epoch`` default) must produce traces
+The shape-memoized epoch (``run_epoch_frame``) must produce traces
 bit-identical to the per-iteration reference loop
-(``columnar=False``) across models, datasets, configurations, noise
-settings, and epochs — runtimes, counters, kernel statistics, autotune
-accounting, and the evaluation phase all included.  The same guarantee
-covers the vectorized batching plan and the inference pass.
+(:func:`oracles.run_epoch_reference`) across models, datasets,
+configurations, noise settings, and epochs — runtimes, counters, kernel
+statistics, autotune accounting, and the evaluation phase all included.
+The same guarantee covers the vectorized batching plan and the
+inference pass (:func:`oracles.run_pass_reference`).
 """
 
 import numpy as np
@@ -25,6 +26,8 @@ from repro.hw.device import GpuDevice
 from repro.models.gnmt import build_gnmt
 from repro.train.inference import InferenceRunSimulator
 from repro.train.runner import TrainingRunSimulator
+
+from oracles import run_epoch_reference, run_pass_reference
 
 SCALE = 0.03
 
@@ -47,8 +50,7 @@ def build_simulator(network: str, config: int, sigma: float):
     )
 
 
-def assert_traces_bit_identical(columnar, reference):
-    left, right = columnar.frame(), reference.frame()
+def assert_traces_bit_identical(left, right):
     assert np.array_equal(left.index, right.index)
     assert np.array_equal(left.epoch, right.epoch)
     assert np.array_equal(left.seq_len, right.seq_len)
@@ -56,8 +58,8 @@ def assert_traces_bit_identical(columnar, reference):
     # Exact equality, not approx: the memoized path must reproduce the
     # reference floats bit for bit.
     assert left.time_s.tolist() == right.time_s.tolist()
-    assert columnar.autotune_s == reference.autotune_s
-    assert columnar.eval_s == reference.eval_s
+    assert left.autotune_s == right.autotune_s
+    assert left.eval_s == right.eval_s
     assert np.array_equal(left.launches, right.launches)
     for name in left.counter_names:
         assert left.counter_column(name).tolist() == (
@@ -68,7 +70,7 @@ def assert_traces_bit_identical(columnar, reference):
         assert left.group_time_column(group).tolist() == (
             right.group_time_column(group).tolist()
         ), group
-    assert columnar.records == reference.records
+    assert left.build_records() == right.build_records()
 
 
 @pytest.mark.parametrize("sigma", [0.0, 0.02])
@@ -80,9 +82,9 @@ class TestEpochBitIdentity:
         columnar_sim = build_simulator(network, config, sigma)
         reference_sim = build_simulator(network, config, sigma)
         for epoch in (0, 1):
-            columnar = columnar_sim.run_epoch(epoch=epoch, include_eval=True)
-            reference = reference_sim.run_epoch(
-                epoch=epoch, include_eval=True, columnar=False
+            columnar = columnar_sim.run_epoch_frame(epoch=epoch, include_eval=True)
+            reference = run_epoch_reference(
+                reference_sim, epoch=epoch, include_eval=True
             )
             assert_traces_bit_identical(columnar, reference)
 
@@ -135,16 +137,23 @@ class TestInferenceBitIdentity:
             noise_sigma=sigma,
         )
         columnar = columnar_sim.run_pass()
-        reference = reference_sim.run_pass(columnar=False)
+        reference = run_pass_reference(reference_sim)
         assert_traces_bit_identical(columnar, reference)
 
     def test_tiny_request_set_falls_back_to_ragged_batch(self, devices):
         corpus = build_iwslt(sentences=24)
-        sim = InferenceRunSimulator(
-            build_gnmt(), corpus, ShuffledBatching(64), devices[1]
-        )
-        trace = sim.run_pass()
-        assert len(trace) == 1
+        for sigma in (0.0, 0.03):
+
+            def simulator():
+                return InferenceRunSimulator(
+                    build_gnmt(), corpus, ShuffledBatching(64), devices[1],
+                    noise_sigma=sigma,
+                )
+
+            trace = simulator().run_pass()
+            assert len(trace) == 1
+            assert trace.batch_size == 64
+            assert_traces_bit_identical(trace, run_pass_reference(simulator()))
 
 
 class TestSelectionUnaffected:
@@ -152,11 +161,11 @@ class TestSelectionUnaffected:
         from repro.core.baselines import FrequentSelector, MedianSelector
         from repro.core.seqpoint import SeqPointSelector
 
-        columnar = build_simulator("gnmt", 1, 0.02).run_epoch()
-        reference = build_simulator("gnmt", 1, 0.02).run_epoch(columnar=False)
+        columnar = build_simulator("gnmt", 1, 0.02).run_epoch_frame()
+        reference = run_epoch_reference(build_simulator("gnmt", 1, 0.02))
         for selector in (SeqPointSelector(), FrequentSelector(), MedianSelector()):
-            left = selector.select(columnar.frame())
-            right = selector.select(reference.frame())
+            left = selector.select(columnar)
+            right = selector.select(reference)
             if hasattr(left, "selection"):
                 left, right = left.selection, right.selection
             assert left.seq_lens == right.seq_lens

@@ -5,8 +5,8 @@ import pytest
 
 from repro.core.kmeans import KMeansSelector, kmeans_cluster
 from repro.errors import SelectionError
-from tests.conftest import make_record, make_trace
-from repro.train.trace import TrainingTrace
+from tests.conftest import make_record
+from repro.train.frame import TraceFrame
 
 
 class TestKMeansCluster:
@@ -41,21 +41,21 @@ class TestKMeansCluster:
 
 
 class TestKMeansSelector:
-    def group_trace(self) -> TrainingTrace:
+    def group_trace(self) -> TraceFrame:
         """Two distinct execution-profile populations."""
-        trace = make_trace([])
+        records = []
         index = 0
         for sl in (10, 12, 14):
-            trace.records.append(
+            records.append(
                 make_record(index, sl, 1.0, group_times={"GEMM-1": 0.9, "reduce": 0.1})
             )
             index += 1
         for sl in (90, 95, 99):
-            trace.records.append(
+            records.append(
                 make_record(index, sl, 5.0, group_times={"GEMM-1": 0.2, "reduce": 4.8})
             )
             index += 1
-        return trace
+        return TraceFrame.from_records("toy", "synthetic", "config#1", 64, records)
 
     def test_clusters_by_profile(self):
         selection = KMeansSelector(k=2, seed=0).select(self.group_trace())

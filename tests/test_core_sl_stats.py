@@ -42,7 +42,6 @@ class TestSlStatistics:
             stats.for_seq_len(99)
 
     def test_empty_trace_raises(self):
-        trace = make_trace([(10, 1.0)])
-        trace.records.clear()
+        trace = make_trace([])
         with pytest.raises(TraceError):
             SlStatistics.from_trace(trace)

@@ -27,7 +27,8 @@ from repro.core.projection import project_logged_time
 from repro.core.seqpoint import SeqPointSelector
 from repro.errors import TraceError
 from repro.train.frame import SCHEMA_V1, SCHEMA_V2, TraceFrame
-from repro.train.trace import TrainingTrace
+
+from oracles import save_v1
 
 FIXTURES = Path(__file__).parent / "fixtures"
 V1 = FIXTURES / "golden_trace_v1.json"
@@ -54,8 +55,8 @@ EXPECTED_FREQUENT = (24, 20.0, 2.922)
 
 
 @pytest.fixture(params=[V1, V2], ids=["v1", "v2"])
-def golden(request) -> TrainingTrace:
-    return TrainingTrace.load(request.param)
+def golden(request) -> TraceFrame:
+    return TraceFrame.load(request.param)
 
 
 class TestSchema:
@@ -76,21 +77,21 @@ class TestSchema:
         ]
 
     def test_v2_round_trips_byte_identically(self, tmp_path):
-        trace = TrainingTrace.load(V2)
+        trace = TraceFrame.load(V2)
         out = tmp_path / "resaved.json"
         trace.save(out, version=2)
         assert json.loads(out.read_text()) == json.loads(V2.read_text())
 
     def test_v1_round_trips_byte_identically(self, tmp_path):
-        trace = TrainingTrace.load(V1)
+        trace = TraceFrame.load(V1)
         out = tmp_path / "resaved.json"
-        trace.save(out, version=1)
+        save_v1(trace, out)
         assert json.loads(out.read_text()) == json.loads(V1.read_text())
 
     def test_cross_version_save_converges(self, tmp_path):
         """v1 -> save v2 -> load equals a straight v2 load."""
         out = tmp_path / "upgraded.json"
-        TrainingTrace.load(V1).save(out, version=2)
+        TraceFrame.load(V1).save(out, version=2)
         assert json.loads(out.read_text()) == json.loads(V2.read_text())
 
     def test_unknown_schema_rejected(self, tmp_path):
@@ -99,7 +100,7 @@ class TestSchema:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))
         with pytest.raises(TraceError, match="unknown trace schema"):
-            TrainingTrace.load(bad)
+            TraceFrame.load(bad)
 
 
 class TestFrozenNumbers:
@@ -133,7 +134,7 @@ class TestFrozenNumbers:
         from repro.core.sl_stats import SlStatistics
         from repro.stream import StreamingSlStatistics
 
-        frame = golden.frame()
+        frame = golden
         stats = StreamingSlStatistics.for_frame(frame)
         for stop in range(1, len(frame) + 1):
             stats.absorb_frame(frame, stop - 1, stop)

@@ -37,7 +37,7 @@ def gnmt_setup():
         for index in (1, 2, 3)
     }
     traces = {
-        index: sim.run_epoch(include_eval=False) for index, sim in runners.items()
+        index: sim.run_epoch_frame(include_eval=False) for index, sim in runners.items()
     }
     return runners, traces
 
@@ -94,8 +94,8 @@ class TestEndToEndDs2:
             model, corpus, SortedBatching(64, pad_multiple=4),
             GpuDevice(paper_config(5)),
         )
-        trace1 = base.run_epoch(include_eval=False)
-        trace5 = other.run_epoch(include_eval=False)
+        trace1 = base.run_epoch_frame(include_eval=False)
+        trace5 = other.run_epoch_frame(include_eval=False)
 
         result = SeqPointSelector().select(trace1)
         assert len(result.selection) < len(trace1.unique_seq_lens())
@@ -109,13 +109,13 @@ class TestEndToEndDs2:
             build_ds2(), corpus, SortedBatching(64, pad_multiple=4),
             GpuDevice(paper_config(1)),
         )
-        trace = sim.run_epoch(include_eval=False)
+        trace = sim.run_epoch_frame(include_eval=False)
         path = tmp_path / "trace.json"
         trace.save(path)
 
-        from repro.train.trace import TrainingTrace
+        from repro.train.frame import TraceFrame
 
-        reloaded = TrainingTrace.load(path)
+        reloaded = TraceFrame.load(path)
         original = SeqPointSelector().select(trace)
         restored = SeqPointSelector().select(reloaded)
         assert original.selection.seq_lens == restored.selection.seq_lens

@@ -28,7 +28,7 @@ def ds2_run(devices):
 class TestSortaGrad:
     def test_first_epoch_sorted(self, ds2_run):
         _, traces = ds2_run
-        lengths = [r.seq_len for r in traces[0].records]
+        lengths = [r.seq_len for r in traces[0].build_records()]
         assert lengths == sorted(lengths)
 
     def test_later_epochs_lose_short_iterations(self, ds2_run):
@@ -37,8 +37,8 @@ class TestSortaGrad:
         # exist only in the sorted epoch.  (This padding waste is the
         # reason SortaGrad/bucketing pipelines exist.)
         _, traces = ds2_run
-        sorted_min = min(r.seq_len for r in traces[0].records)
-        shuffled_min = min(r.seq_len for r in traces[1].records)
+        sorted_min = min(r.seq_len for r in traces[0].build_records())
+        shuffled_min = min(r.seq_len for r in traces[1].build_records())
         assert shuffled_min > 2 * sorted_min
 
 
@@ -79,7 +79,7 @@ class TestRunTraining:
     def test_epoch_count(self, ds2_run):
         _, traces = ds2_run
         assert len(traces) == 3
-        assert [t.records[0].epoch for t in traces] == [0, 1, 2]
+        assert [t.build_records()[0].epoch for t in traces] == [0, 1, 2]
 
     def test_invalid_epochs_rejected(self, ds2_run, devices):
         sim, _ = ds2_run

@@ -31,7 +31,6 @@ from repro.kernels.gemm import (
     GEMM_NAMES,
     GEMM_VARIANTS,
     GemmRequest,
-    _select_reference,
     build_gemm,
     candidate_times,
     gemm,
@@ -54,6 +53,8 @@ from repro.models.plan import (
 from repro.models.spec import IterationInputs
 from repro.train.iteration import IterationExecutor
 from repro.util.npt import ColumnStore, write_columns
+
+from oracles import ScalarExecutor, select_reference
 
 CONFIGS = {index: paper_config(index) for index in range(1, 6)}
 #: Both caches off: the race's capacity and latency terms at their
@@ -115,7 +116,7 @@ def test_race_matches_build_gemm_and_time_work(problems, config):
     for row, (m, n, k) in enumerate(problems):
         first_min = int(np.flatnonzero(times[row] == times[row].min())[0])
         assert winners[row] == first_min
-        assert GEMM_VARIANTS[winners[row]] is _select_reference(m, n, k, config)
+        assert GEMM_VARIANTS[winners[row]] is select_reference(m, n, k, config)
 
 
 @settings(max_examples=60, deadline=None)
@@ -165,7 +166,7 @@ def test_ties_go_to_the_first_variant(config):
         minima = np.flatnonzero(times[row] == times[row].min())
         tied += minima.size > 1
         assert winners[row] == minima[0]
-        assert GEMM_VARIANTS[winners[row]] is _select_reference(*problem, config)
+        assert GEMM_VARIANTS[winners[row]] is select_reference(*problem, config)
     if config.l2_enabled:
         assert tied  # the tie rule is actually exercised
 
@@ -383,7 +384,7 @@ def test_concurrent_binding_shares_one_plan_per_key(monkeypatch):
     model = build_gnmt()
     config = replace(VEGA_FE, name="concurrent-bind")
     shapes = [_inputs(seq_len) for seq_len in range(5, 45, 3)]
-    reference = IterationExecutor(build_gnmt(), GpuDevice(config), batched=False)
+    reference = ScalarExecutor(build_gnmt(), GpuDevice(config))
     expected = [reference.run(inputs) for inputs in shapes]
 
     results: list = [None] * 6

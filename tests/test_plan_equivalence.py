@@ -4,8 +4,8 @@ The equivalence matrix of the columnar-plan refactor: across models ×
 shapes × hardware configs × noise seeds, the batched executor
 (``SchedulePlan`` + ``run_batch`` + vectorized reductions), the
 vectorized autotuner, and the vectorized GEMM dispatch race must all be
-**bit-identical** to the retained scalar reference paths — not merely
-approximately equal.
+**bit-identical** to the scalar reference paths in ``tests/oracles`` —
+not merely approximately equal.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from repro.kernels.autotune import Autotuner
 from repro.kernels.gemm import (
     GEMM_VARIANTS,
     _select,
-    _select_reference,
     build_gemm,
     candidate_times,
 )
@@ -36,6 +35,8 @@ from repro.models.transformer import build_transformer
 from repro.train.inference import InferenceRunSimulator
 from repro.train.iteration import IterationExecutor
 from repro.train.runner import TrainingRunSimulator
+
+from oracles import ReferenceAutotuner, ScalarExecutor, scalar_pipeline, select_reference
 
 MODEL_BUILDERS = {
     "gnmt": build_gnmt,
@@ -75,12 +76,8 @@ class TestExecutorEquivalenceMatrix:
     @pytest.mark.parametrize("config_index", CONFIGS)
     def test_train_and_forward_bit_identical(self, network, config_index):
         device = GpuDevice(paper_config(config_index))
-        batched = IterationExecutor(
-            MODEL_BUILDERS[network](), device, batched=True
-        )
-        scalar = IterationExecutor(
-            MODEL_BUILDERS[network](), device, batched=False
-        )
+        batched = IterationExecutor(MODEL_BUILDERS[network](), device)
+        scalar = ScalarExecutor(MODEL_BUILDERS[network](), device)
         for inputs in SHAPES[network]:
             assert_results_identical(batched.run(inputs), scalar.run(inputs))
             assert_results_identical(
@@ -120,8 +117,8 @@ class TestRunForwardUnique:
 
     def test_scalar_executor_falls_back(self):
         device = GpuDevice(paper_config(1))
-        scalar = IterationExecutor(build_gnmt(), device, batched=False)
-        reference = IterationExecutor(build_gnmt(), device, batched=False)
+        scalar = ScalarExecutor(build_gnmt(), device)
+        reference = IterationExecutor(build_gnmt(), device)
         shapes = SHAPES["gnmt"]
         results = scalar.run_forward_unique(list(shapes))
         for inputs, result in zip(shapes, results):
@@ -137,7 +134,7 @@ class TestEpochEquivalenceMatrix:
         dataset_name = default_dataset(network)
         corpus = DATASETS.create(dataset_name, scale=scale)
         train, evaluation = corpus.split(0.02, seed=7)
-        return TrainingRunSimulator(
+        simulator = TrainingRunSimulator(
             model=model,
             dataset=train,
             batching=build_batching(
@@ -148,8 +145,8 @@ class TestEpochEquivalenceMatrix:
             noise_sigma=0.02,
             seed=0,
             noise_seed=noise_seed,
-            batched=batched,
         )
+        return simulator if batched else scalar_pipeline(simulator)
 
     @pytest.mark.parametrize("network", ["gnmt", "ds2"])
     @pytest.mark.parametrize("config_index", CONFIGS)
@@ -186,7 +183,7 @@ class TestEpochEquivalenceMatrix:
     def test_inference_pass_bit_identical(self):
         def serving(batched):
             corpus = DATASETS.create(default_dataset("gnmt"), scale=0.02)
-            return InferenceRunSimulator(
+            simulator = InferenceRunSimulator(
                 model=MODEL_BUILDERS["gnmt"](),
                 dataset=corpus,
                 batching=build_batching(
@@ -194,12 +191,12 @@ class TestEpochEquivalenceMatrix:
                 ),
                 device=GpuDevice(paper_config(3)),
                 noise_sigma=0.02,
-                batched=batched,
             )
+            return simulator if batched else scalar_pipeline(simulator)
 
         reference = serving(False).run_pass()
         vectorized = serving(True).run_pass()
-        assert vectorized.frame().to_payload() == reference.frame().to_payload()
+        assert vectorized.to_payload() == reference.to_payload()
 
 
 class TestGemmRaceEquivalence:
@@ -223,13 +220,13 @@ class TestGemmRaceEquivalence:
     def test_select_matches_reference_loop(self, config_index):
         config = paper_config(config_index)
         for m, n, k in self.PROBLEMS:
-            assert _select(m, n, k, config) is _select_reference(m, n, k, config)
+            assert _select(m, n, k, config) is select_reference(m, n, k, config)
 
     @pytest.mark.parametrize("config_index", CONFIGS)
     def test_autotune_charge_bit_identical(self, config_index):
         config = paper_config(config_index)
-        scalar = Autotuner(config, batched=False)
-        vectorized = Autotuner(config, batched=True)
+        scalar = ReferenceAutotuner(config)
+        vectorized = Autotuner(config)
         for shape in self.PROBLEMS:
             assert vectorized.charge(*shape) == scalar.charge(*shape)
         assert vectorized.total_cost_s == scalar.total_cost_s
@@ -274,9 +271,9 @@ class TestPlanCacheSharing:
 
         device = GpuDevice(paper_config(1))
         inputs = IterationInputs(batch=8, seq_len=96, tgt_len=96)
-        wide_batched = IterationExecutor(wide, device, batched=True).run(inputs)
-        narrow_batched = IterationExecutor(narrow, device, batched=True).run(inputs)
-        narrow_scalar = IterationExecutor(narrow, device, batched=False).run(inputs)
+        wide_batched = IterationExecutor(wide, device).run(inputs)
+        narrow_batched = IterationExecutor(narrow, device).run(inputs)
+        narrow_scalar = ScalarExecutor(narrow, device).run(inputs)
         assert_results_identical(narrow_batched, narrow_scalar)
         assert wide_batched.time_s != narrow_batched.time_s
 

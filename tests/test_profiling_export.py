@@ -17,7 +17,7 @@ def ds2_selection(devices):
     model = build_ds2()
     corpus = build_librispeech(utterances=640)
     sim = TrainingRunSimulator(model, corpus, SortedBatching(64), devices[1])
-    trace = sim.run_epoch(include_eval=False)
+    trace = sim.run_epoch_frame(include_eval=False)
     return model, SeqPointSelector().select(trace).selection
 
 

@@ -155,7 +155,7 @@ def test_projection_exact_when_every_sl_is_its_own_bin(pairs):
 def test_seqpoint_weights_cover_epoch(pairs):
     trace = make_trace(pairs)
     result = SeqPointSelector().select(trace)
-    assert result.selection.total_weight == len(trace.records)
+    assert result.selection.total_weight == len(trace.build_records())
 
 
 @given(sl_time_pairs)
@@ -164,7 +164,7 @@ def test_seqpoint_projection_bounded_by_extreme_iterations(pairs):
     trace = make_trace(pairs)
     result = SeqPointSelector().select(trace)
     projected = project_total(result.selection, lambda p: p.record.time_s)
-    times = [r.time_s for r in trace.records]
+    times = [r.time_s for r in trace.build_records()]
     n = len(times)
     assert min(times) * n * 0.999 <= projected <= max(times) * n * 1.001
 
@@ -174,7 +174,7 @@ def test_seqpoint_projection_bounded_by_extreme_iterations(pairs):
 def test_seqpoints_never_exceed_unique_sls(pairs):
     trace = make_trace(pairs)
     result = SeqPointSelector().select(trace)
-    assert len(result.selection) <= len(set(trace.seq_lens()))
+    assert len(result.selection) <= len(set(trace.seq_len.tolist()))
 
 
 # ---- hardware model invariants ----------------------------------------

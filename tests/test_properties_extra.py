@@ -13,7 +13,7 @@ from repro.core.projection import project_total
 from repro.core.selection import select_from_bin
 from repro.core.sl_stats import SlStatistics
 from repro.hw.counters import CounterSet
-from repro.train.trace import TrainingTrace
+from repro.train.frame import TraceFrame
 from tests.conftest import make_trace
 
 sl_time_pairs = st.lists(
@@ -38,14 +38,14 @@ def test_all_baselines_weights_cover_epoch(pairs):
         PriorSelector(warmup=2, window=5),
     ):
         selection = selector.select(trace)
-        assert abs(selection.total_weight - len(trace.records)) < 1e-6
+        assert abs(selection.total_weight - len(trace.build_records())) < 1e-6
 
 
 @given(sl_time_pairs)
 @settings(max_examples=40)
 def test_single_sl_selectors_pick_observed_sls(pairs):
     trace = make_trace(pairs)
-    observed = set(trace.seq_lens())
+    observed = set(trace.seq_len.tolist())
     for selector in (FrequentSelector(), MedianSelector(), WorstSelector()):
         for seq_len in selector.select(trace).seq_lens:
             assert seq_len in observed
@@ -93,8 +93,8 @@ def test_trace_round_trip(pairs):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.json"
         trace.save(path)
-        loaded = TrainingTrace.load(path)
-    assert loaded.seq_lens() == trace.seq_lens()
+        loaded = TraceFrame.load(path)
+    assert loaded.seq_len.tolist() == trace.seq_len.tolist()
     assert abs(loaded.total_time_s - trace.total_time_s) < 1e-9 * max(
         1.0, trace.total_time_s
     )

@@ -43,7 +43,7 @@ def trace_and_chunking(draw):
 @settings(max_examples=60)
 def test_streaming_stats_bit_identical_under_any_chunking(case):
     pairs, chunks = case
-    frame = make_trace(pairs).frame()
+    frame = make_trace(pairs)
     stats = StreamingSlStatistics.for_frame(frame)
     for start, stop in chunks:
         stats.absorb_frame(frame, start, stop)
@@ -54,21 +54,20 @@ def test_streaming_stats_bit_identical_under_any_chunking(case):
 @settings(max_examples=40)
 def test_streaming_prefixes_bit_identical_to_batch(case):
     pairs, chunks = case
-    trace = make_trace(pairs)
-    frame = trace.frame()
+    frame = make_trace(pairs)
     stats = StreamingSlStatistics.for_frame(frame)
     for start, stop in chunks:
         stats.absorb_frame(frame, start, stop)
         if stop == 0:
             continue
-        prefix = make_trace(pairs[:stop]).frame()
+        prefix = make_trace(pairs[:stop])
         assert stats.statistics() == SlStatistics.from_trace(prefix)
 
 
 @given(sl_time_pairs, st.integers(min_value=1, max_value=17))
 @settings(max_examples=40)
 def test_exhausted_stream_reproduces_batch_selection(pairs, chunk_size):
-    frame = make_trace(pairs).frame()
+    frame = make_trace(pairs)
     batch = SeqPointSelector().select(frame)
     run = StreamingIdentifier(
         SeqPointSelector(),
@@ -116,7 +115,7 @@ def stationary_stream(draw):
 @settings(max_examples=40)
 def test_segmented_is_the_base_selector_on_stationary_streams(case):
     pairs, cadence = case
-    frame = make_trace(pairs).frame()
+    frame = make_trace(pairs)
     assert len(segment_frame(frame, cadence=cadence)) == 1
     base = SeqPointSelector().select(frame)
     wrapped = SegmentedSelector(SeqPointSelector(), cadence=cadence).select(
@@ -137,7 +136,7 @@ def test_segmented_is_the_base_selector_on_stationary_streams(case):
 def test_segmented_runs_invariant_under_rechunking(pairs, cadence):
     """Checks, segments, and selections are a pure function of the
     stream contents — chunk granularity must never show through."""
-    frame = make_trace(pairs).frame()
+    frame = make_trace(pairs)
     runs = [
         StreamingIdentifier(
             SegmentedSelector(
@@ -233,10 +232,9 @@ def test_zero_previous_mean_treats_any_change_as_drift(state, new_mean):
 @settings(max_examples=40)
 def test_absorb_paths_agree(pairs):
     """Record-by-record and columnar absorption are interchangeable."""
-    trace = make_trace(pairs)
-    frame = trace.frame()
+    frame = make_trace(pairs)
     by_record = StreamingSlStatistics.for_frame(frame)
-    by_record.absorb_many(trace.records)
+    by_record.absorb_many(frame.build_records())
     by_frame = StreamingSlStatistics.for_frame(frame)
     by_frame.absorb_frame(frame, 0, len(frame))
     assert by_record.statistics() == by_frame.statistics()

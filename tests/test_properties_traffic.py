@@ -5,7 +5,7 @@ Invariants the ISSUEs pin down:
 * a seeded arrival process plus a batching policy is bit-deterministic
   end to end (arrivals, batch composition, padded shapes),
 * the columnar formation path and the vectorized serve fast path are
-  **bit-identical** to their retained scalar references across
+  **bit-identical** to their scalar references in ``tests/oracles`` across
   policies × arrival processes × seeds × drift schedules, and
 * streaming identification over a traffic feed equals batch
   identification whenever the request mix is stationary.
@@ -38,6 +38,8 @@ from repro.traffic.batcher import FormedBatch
 from repro.traffic.simulator import ServedTraffic, _fifo_prefix
 from repro.train.frame import NO_TGT
 from tests.conftest import make_trace
+
+from oracles import form_batches_scalar, serve_scalar
 
 # ---- strategy helpers -------------------------------------------------
 
@@ -113,12 +115,8 @@ def test_vectorized_formation_matches_scalar(case, with_tgt):
         seq_len.size, seed
     )
     policy = BATCHING.create(policy_name, batch_size)
-    fast = form_batches(
-        arrival_s, seq_len, tgt_len, policy, max_wait_s, vectorized=True
-    )
-    slow = form_batches(
-        arrival_s, seq_len, tgt_len, policy, max_wait_s, vectorized=False
-    )
+    fast = form_batches(arrival_s, seq_len, tgt_len, policy, max_wait_s)
+    slow = form_batches_scalar(arrival_s, seq_len, tgt_len, policy, max_wait_s)
     assert len(fast) == len(slow)
     for one, two in zip(fast, slow):
         assert one.form_time_s == two.form_time_s  # bit-exact float
@@ -223,18 +221,16 @@ def test_memoized_serve_bit_identical_to_scalar(case):
         arrival_s, requests.seq_len, requests.tgt_len, policy, 0.05
     )
 
-    def serve(memoized):
-        simulator = TrafficSimulator(
+    def simulator():
+        return TrafficSimulator(
             scenario["model"],
             scenario["dataset_name"],
             policy,
             scenario["device"],
-            memoized=memoized,
         )
-        return simulator.serve(requests, arrival_s, batches)
 
-    fast = serve(True)
-    slow = serve(False)
+    fast = simulator().serve(requests, arrival_s, batches)
+    slow = serve_scalar(simulator(), requests, arrival_s, batches)
     assert fast.frame.to_payload() == slow.frame.to_payload()
     assert fast.frame.profiles == slow.frame.profiles
     assert np.array_equal(fast.queue_wait_s, slow.queue_wait_s)
@@ -242,6 +238,30 @@ def test_memoized_serve_bit_identical_to_scalar(case):
     assert fast.makespan_s == slow.makespan_s
     assert fast.latency_percentiles() == slow.latency_percentiles()
     assert fast.queue_wait_percentiles() == slow.queue_wait_percentiles()
+
+
+def test_empty_batch_list_serves_nothing():
+    scenario = _serving_scenario()
+    policy = build_batching("pooled", 8, dataset=scenario["dataset_name"])
+    requests = sample_requests(scenario["train"], (TrafficPhase(1.0),), 4, 0)
+    arrival_s = np.zeros(len(requests), dtype=np.float64)
+
+    def simulator():
+        return TrafficSimulator(
+            scenario["model"],
+            scenario["dataset_name"],
+            policy,
+            scenario["device"],
+        )
+
+    served = simulator().serve(requests, arrival_s, [])
+    reference = serve_scalar(simulator(), requests, arrival_s, [])
+    assert len(served.frame) == 0 and served.batches == ()
+    assert served.makespan_s == 0.0
+    assert served.frame.to_payload() == reference.frame.to_payload()
+    assert np.array_equal(served.queue_wait_s, reference.queue_wait_s)
+    assert np.array_equal(served.latency_s, reference.latency_s)
+    assert served.makespan_s == reference.makespan_s
 
 
 # ---- streaming over traffic == batch identification -------------------
@@ -258,7 +278,7 @@ def stationary_served(draw):
     time_of = {
         sl: 1e-3 * (1.0 + (sl % 7)) + sl * 1e-4 for sl in set(seq_lens)
     }
-    frame = make_trace([(sl, time_of[sl]) for sl in seq_lens]).frame()
+    frame = make_trace([(sl, time_of[sl]) for sl in seq_lens])
     # Formation instants: non-decreasing with occasional shared flushes.
     gaps = draw(
         st.lists(
@@ -301,7 +321,7 @@ def test_streaming_on_stationary_traffic_equals_batch(served):
         stats=StreamingSlStatistics.for_frame(served.frame),
     )
     assert run.iterations_consumed == len(served.frame)
-    batch = SeqPointSelector().select(served.frame.to_trace())
+    batch = SeqPointSelector().select(served.frame)
     streamed = [
         (point.seq_len, point.tgt_len, point.weight, point.record.time_s)
         for point in run.selection.points

@@ -383,6 +383,7 @@ class TestStorageStats:
             storage = envelope["storage"]
             assert storage["directory"] == str(tmp_path)
             assert storage["disk_entries"] == {"json": 1, "binary": 1}
+            assert storage["quarantined"] == 0
             for fmt in ("binary", "json"):
                 entry = storage["cold_loads"][fmt]
                 assert entry["count"] == 1
@@ -398,7 +399,33 @@ class TestStorageStats:
         storage = envelope["storage"]
         assert storage["directory"] is None
         assert storage["cold_loads"] == {}
+        assert storage["quarantined"] == 0
         assert storage["plan_store"] is None
+
+    def test_corrupt_cache_entry_is_quarantined_and_reported(self, tmp_path):
+        spec = AnalysisSpec(network="gnmt", scale=0.02)
+        seeder = AnalysisEngine(cache=TraceCache(tmp_path))
+        expected = seeder.run(spec).to_dict()
+        artefact = tmp_path / f"{seeder.trace_key(spec)}.npt"
+        artefact.write_bytes(artefact.read_bytes()[:200])
+        app = ServeApp(
+            AnalysisEngine(cache=TraceCache(tmp_path)),
+            workers=1,
+            sweep_mode="serial",
+        )
+        app.start()
+        try:
+            _, envelope, _ = app.handle(
+                "POST", "/jobs", {"kind": "analyze", "spec": spec.to_dict()}
+            )
+            job_id = envelope["job"]["id"]
+            assert wait_for(app, job_id)["state"] == "done"
+            _, envelope, _ = app.handle("GET", f"/jobs/{job_id}/result")
+            assert envelope["result"] == expected
+            _, envelope, _ = app.handle("GET", "/stats")
+            assert envelope["storage"]["quarantined"] == 1
+        finally:
+            app.close()
 
 
 class TestConcurrentSessions:

@@ -13,9 +13,9 @@ import pytest
 
 from repro.errors import StorageError, TraceError
 from repro.train.frame import SCHEMA_V3, TraceFrame
-from repro.train.trace import TrainingTrace
 from repro.util.npt import MAGIC, ColumnStore, is_npt, write_columns
 
+from oracles import save_v1
 from tests.conftest import make_record, make_trace
 
 
@@ -103,22 +103,21 @@ class TestContainer:
             ColumnStore(path)
 
 
-def seq2seq_trace() -> TrainingTrace:
-    trace = TrainingTrace("m", "d", "c", 32)
-    trace.records.extend(
-        [
+def seq2seq_trace() -> TraceFrame:
+    return TraceFrame.from_records(
+        "m", "d", "c", 32,
+        records=[
             make_record(0, 10, 1.0, tgt_len=8),
             make_record(1, 20, 2.0, group_times={"GEMM-2": 0.25, "GEMM-1": 1.5}),
             make_record(2, 10, 1.0, tgt_len=8),
-        ]
+        ],
+        autotune_s=1.25,
+        eval_s=0.75,
     )
-    trace.autotune_s = 1.25
-    trace.eval_s = 0.75
-    return trace
 
 
-def payload_of(trace: TrainingTrace) -> str:
-    return json.dumps(trace.frame().to_payload(), sort_keys=True)
+def payload_of(trace: TraceFrame) -> str:
+    return json.dumps(trace.to_payload(), sort_keys=True)
 
 
 class TestTraceV3:
@@ -132,24 +131,25 @@ class TestTraceV3:
         trace = seq2seq_trace()
         path = tmp_path / "t.npt"
         trace.save(path)
-        loaded = TrainingTrace.load(path)
+        loaded = TraceFrame.load(path)
         assert payload_of(loaded) == payload_of(trace)
-        assert loaded.records == trace.records
+        assert loaded.build_records() == trace.build_records()
 
     def test_all_versions_load_bit_identically(self, tmp_path):
         trace = seq2seq_trace()
         expected = payload_of(trace)
-        for version, name in ((1, "v1.json"), (2, "v2.json"), (3, "v3.npt")):
-            path = tmp_path / name
-            trace.save(path, version=version)
-            assert payload_of(TrainingTrace.load(path)) == expected
+        save_v1(trace, tmp_path / "v1.json")
+        trace.save(tmp_path / "v2.json", version=2)
+        trace.save(tmp_path / "v3.npt", version=3)
+        for name in ("v1.json", "v2.json", "v3.npt"):
+            assert payload_of(TraceFrame.load(tmp_path / name)) == expected
 
     def test_no_tgt_sentinel_survives(self, tmp_path):
         trace = make_trace([(10, 1.0), (20, 2.0)])
         path = tmp_path / "t.npt"
         trace.save(path)
-        loaded = TrainingTrace.load(path)
-        assert [r.tgt_len for r in loaded.records] == [None, None]
+        loaded = TraceFrame.load(path)
+        assert [r.tgt_len for r in loaded.build_records()] == [None, None]
 
     def test_profile_pool_stays_interned(self, tmp_path):
         trace = seq2seq_trace()
@@ -201,7 +201,7 @@ class TestTraceV3:
 
     def test_unknown_save_version_rejected(self, tmp_path):
         with pytest.raises(TraceError, match="unknown trace format"):
-            seq2seq_trace().frame().save(tmp_path / "t.npt", version=99)
+            seq2seq_trace().save(tmp_path / "t.npt", version=99)
 
 
 class TestGoldenFixtures:
@@ -219,5 +219,5 @@ class TestGoldenFixtures:
         v3 = tmp_path / "t.npt"
         trace.save(v2, version=2)
         trace.save(v3)
-        assert payload_of(TrainingTrace.load(v2)) == expected
-        assert payload_of(TrainingTrace.load(v3)) == expected
+        assert payload_of(TraceFrame.load(v2)) == expected
+        assert payload_of(TraceFrame.load(v3)) == expected

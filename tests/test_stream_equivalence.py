@@ -31,13 +31,13 @@ def engine() -> AnalysisEngine:
 def batch_prefix_stats(engine, spec, m):
     """The batch group-by of the epoch's first ``m`` iterations."""
     trace = engine.trace_for(spec)
-    frame = engine.frame_for(spec)
+    frame = engine.trace_for(spec)
     prefix = TraceFrame.from_records(
         model_name=frame.model_name,
         dataset_name=frame.dataset_name,
         config_name=frame.config_name,
         batch_size=frame.batch_size,
-        records=trace.records[:m],
+        records=trace.build_records()[:m],
     )
     return SlStatistics.from_trace(prefix)
 
@@ -46,7 +46,7 @@ class TestChunkingBitIdentity:
     @pytest.mark.parametrize("network", ["gnmt", "ds2"])
     def test_chunk_sizes_agree_with_batch(self, engine, network):
         spec = AnalysisSpec(network=network, scale=SCALE)
-        frame = engine.frame_for(spec)
+        frame = engine.trace_for(spec)
         expected = SlStatistics.from_trace(frame)
         for chunk_size in (1, 7, len(frame)):
             stats = StreamingSlStatistics.for_frame(frame)
@@ -57,7 +57,7 @@ class TestChunkingBitIdentity:
     @pytest.mark.parametrize("network", ["gnmt", "ds2"])
     def test_every_prefix_matches_batch(self, engine, network):
         spec = AnalysisSpec(network=network, scale=SCALE)
-        frame = engine.frame_for(spec)
+        frame = engine.trace_for(spec)
         stats = StreamingSlStatistics.for_frame(frame)
         for stop in range(1, len(frame) + 1):
             stats.absorb_frame(frame, stop - 1, stop)
@@ -68,9 +68,9 @@ class TestChunkingBitIdentity:
 
     def test_record_feed_matches_frame_feed(self, engine):
         spec = AnalysisSpec(network="gnmt", scale=SCALE)
-        frame = engine.frame_for(spec)
+        frame = engine.trace_for(spec)
         via_records = StreamingSlStatistics.for_frame(frame)
-        via_records.absorb_many(engine.trace_for(spec).records)
+        via_records.absorb_many(engine.trace_for(spec).build_records())
         via_frame = StreamingSlStatistics.for_frame(frame)
         via_frame.absorb_frame(frame, 0, len(frame))
         assert via_records.statistics() == via_frame.statistics()
@@ -87,7 +87,7 @@ class TestFullConsumptionReproducesBatch:
             network=network, scale=SCALE, seed=seed, selector=selector
         )
         batch = engine.run(spec)
-        frame = engine.frame_for(spec)
+        frame = engine.trace_for(spec)
         run = StreamingIdentifier(
             spec.build_selector(),
             cadence=max(1, len(frame) // 3),

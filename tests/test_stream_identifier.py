@@ -60,7 +60,7 @@ class TestValidation:
 
         with pytest.raises(ConfigurationError, match="Selection"):
             StreamingIdentifier(Junk(), cadence=4).run(
-                replay(periodic_trace(3).frame())
+                replay(periodic_trace(3))
             )
 
     def test_empty_feed_rejected(self):
@@ -71,7 +71,7 @@ class TestValidation:
 
 class TestConvergence:
     def test_periodic_stream_stops_early(self):
-        frame = periodic_trace(50).frame()  # 200 iterations
+        frame = periodic_trace(50)  # 200 iterations
         run = StreamingIdentifier(
             SeqPointSelector(), cadence=20, patience=3
         ).run(replay(frame))
@@ -85,7 +85,7 @@ class TestConvergence:
         }
 
     def test_patience_delays_convergence(self):
-        frame = periodic_trace(50).frame()
+        frame = periodic_trace(50)
         eager = StreamingIdentifier(
             SeqPointSelector(), cadence=20, patience=2
         ).run(replay(frame))
@@ -95,7 +95,7 @@ class TestConvergence:
         assert eager.iterations_consumed < cautious.iterations_consumed
 
     def test_exhausted_stream_reports_unconverged(self):
-        frame = periodic_trace(10).frame()  # 40 iterations
+        frame = periodic_trace(10)  # 40 iterations
         run = StreamingIdentifier(
             SeqPointSelector(), cadence=30, patience=5
         ).run(replay(frame))
@@ -112,7 +112,7 @@ class TestConvergence:
         pairs = (CYCLE * 13)[:50]
         run = StreamingIdentifier(
             SeqPointSelector(), cadence=30, patience=2, rtol=0.05
-        ).run(replay(make_trace(pairs).frame()))
+        ).run(replay(make_trace(pairs)))
         # Boundary check at 30, forced exhaustion check at 50 — they
         # agree, so the stability counter reads `patience`, yet the
         # run still reports unconverged.
@@ -123,7 +123,7 @@ class TestConvergence:
         assert len(run.selection) == 4
 
     def test_stream_shorter_than_cadence_still_selects(self):
-        frame = periodic_trace(2).frame()  # 8 iterations
+        frame = periodic_trace(2)  # 8 iterations
         run = StreamingIdentifier(
             SeqPointSelector(), cadence=100, patience=2
         ).run(replay(frame))
@@ -132,7 +132,7 @@ class TestConvergence:
         assert run.checks[0].iterations == 8
 
     def test_min_iterations_defers_first_check(self):
-        frame = periodic_trace(50).frame()
+        frame = periodic_trace(50)
         run = StreamingIdentifier(
             SeqPointSelector(), cadence=20, patience=2, min_iterations=70
         ).run(replay(frame))
@@ -142,7 +142,7 @@ class TestConvergence:
     def test_min_iterations_on_a_boundary_checks_there(self, min_iterations):
         """A warm-up that is a cadence multiple still checks at itself,
         identically for every chunk granularity."""
-        frame = periodic_trace(50).frame()
+        frame = periodic_trace(50)
         runs = [
             StreamingIdentifier(
                 SeqPointSelector(),
@@ -159,7 +159,7 @@ class TestConvergence:
             ]
 
     def test_identification_error_scored_against_prefix(self):
-        frame = periodic_trace(50).frame()
+        frame = periodic_trace(50)
         run = StreamingIdentifier(
             SeqPointSelector(), cadence=20, patience=3
         ).run(replay(frame))
@@ -168,7 +168,7 @@ class TestConvergence:
         assert run.identification_error_pct < 1e-6  # all-unique, no noise
 
     def test_project_epoch_time_extrapolates(self):
-        frame = periodic_trace(50).frame()
+        frame = periodic_trace(50)
         run = StreamingIdentifier(
             SeqPointSelector(), cadence=20, patience=3
         ).run(replay(frame))
@@ -180,7 +180,7 @@ class TestConvergence:
 
 class TestDriftGuard:
     def test_runtime_shift_resets_the_window(self):
-        frame = shifted_trace(repeats=60, shift_at=120, factor=2.0).frame()
+        frame = shifted_trace(repeats=60, shift_at=120, factor=2.0)
         run = StreamingIdentifier(
             SeqPointSelector(),
             cadence=20,
@@ -206,7 +206,7 @@ class TestDriftGuard:
             cadence=20,
             patience=100,
             drift_rtol=0.05,
-        ).run(replay(make_trace(pairs).frame()))
+        ).run(replay(make_trace(pairs)))
         resets = [check for check in run.checks if check.drift_reset]
         assert resets, "appearing SLs must trip the union drift guard"
         assert resets[0].iterations == 140  # first check past the switch
@@ -225,7 +225,7 @@ class TestDriftGuard:
             patience=3,
             drift_rtol=0.05,
             min_iterations=110,
-        ).run(replay(make_trace(pairs).frame()))
+        ).run(replay(make_trace(pairs)))
         assert [c.iterations for c in run.checks if c.drift_reset] == [140]
         assert run.converged
         # Agreements at 160, 180, 200 — were the drifted check counted
@@ -234,7 +234,7 @@ class TestDriftGuard:
         assert [c.stable_checks for c in run.checks] == [1, 0, 1, 2, 3]
 
     def test_stationary_stream_never_trips_the_guard(self):
-        frame = periodic_trace(60).frame()
+        frame = periodic_trace(60)
         run = StreamingIdentifier(
             SeqPointSelector(), cadence=20, patience=100, drift_rtol=0.05
         ).run(replay(frame))
@@ -243,25 +243,24 @@ class TestDriftGuard:
     def test_drift_delays_convergence(self):
         stationary = StreamingIdentifier(
             SeqPointSelector(), cadence=20, patience=3, drift_rtol=0.05
-        ).run(replay(periodic_trace(60).frame()))
+        ).run(replay(periodic_trace(60)))
         # Shift before the stationary convergence point (60), so the
         # guard fires while the window is still filling.
         drifting = StreamingIdentifier(
             SeqPointSelector(), cadence=20, patience=3, drift_rtol=0.05
-        ).run(replay(shifted_trace(repeats=60, shift_at=30).frame()))
+        ).run(replay(shifted_trace(repeats=60, shift_at=30)))
         assert stationary.converged
         assert drifting.iterations_consumed > stationary.iterations_consumed
 
 
 class TestFeeds:
     def test_record_chunks_equal_frame_slices(self):
-        trace = periodic_trace(30)
-        frame = trace.frame()
+        frame = periodic_trace(30)
         identifier = StreamingIdentifier(
             SeqPointSelector(), cadence=16, patience=3
         )
         from_slices = identifier.run(replay(frame, chunk_size=5))
-        records = trace.records
+        records = frame.build_records()
         from_records = identifier.run(
             [records[i : i + 5] for i in range(0, len(records), 5)]
         )
@@ -272,7 +271,7 @@ class TestFeeds:
         ]
 
     def test_checks_invariant_under_rechunking(self):
-        frame = periodic_trace(40).frame()
+        frame = periodic_trace(40)
         runs = [
             StreamingIdentifier(
                 SeqPointSelector(), cadence=24, patience=3
@@ -285,7 +284,7 @@ class TestFeeds:
             assert run.iterations_consumed == runs[0].iterations_consumed
 
     def test_resuming_an_accumulator(self):
-        frame = periodic_trace(40).frame()
+        frame = periodic_trace(40)
         stats = StreamingSlStatistics.for_frame(frame)
         stats.absorb_frame(frame, 0, 10)
         run = StreamingIdentifier(
@@ -295,7 +294,7 @@ class TestFeeds:
         assert run.checks[0].iterations == 20  # counts the resumed prefix
 
     def test_feed_validation(self):
-        frame = periodic_trace(2).frame()
+        frame = periodic_trace(2)
         with pytest.raises(Exception):
             TraceReplayFeed(frame, chunk_size=0)
         with pytest.raises(Exception):
@@ -311,7 +310,7 @@ class TestIdentificationSession:
     """begin()/absorb()/finish() must match run() chunk for chunk."""
 
     def test_session_matches_run_bit_for_bit(self):
-        frame = periodic_trace(40).frame()
+        frame = periodic_trace(40)
         identifier = StreamingIdentifier(SeqPointSelector(), cadence=16, patience=3)
         pulled = identifier.run(replay(frame, chunk_size=5))
 
@@ -331,7 +330,7 @@ class TestIdentificationSession:
         assert pushed.projected_prefix_total_s == pulled.projected_prefix_total_s
 
     def test_session_accepts_record_chunks(self):
-        records = periodic_trace(30).records
+        records = periodic_trace(30).build_records()
         identifier = StreamingIdentifier(SeqPointSelector(), cadence=12, patience=2)
         session = identifier.begin()
         for start in range(0, len(records), 7):
@@ -344,7 +343,7 @@ class TestIdentificationSession:
         assert run.selection.method == reference.selection.method
 
     def test_absorb_after_convergence_is_a_noop(self):
-        frame = periodic_trace(40).frame()
+        frame = periodic_trace(40)
         identifier = StreamingIdentifier(SeqPointSelector(), cadence=8, patience=2)
         session = identifier.begin(StreamingSlStatistics.for_frame(frame))
         chunks = iter(replay(frame, chunk_size=8))

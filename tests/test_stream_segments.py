@@ -15,7 +15,7 @@ from repro.stream import (
     replay,
     segment_frame,
 )
-from repro.train.trace import TrainingTrace
+from repro.train.frame import TraceFrame
 from tests.conftest import make_record, make_trace
 
 #: A stationary cycle (regime A) and a disjoint, slower one (regime B).
@@ -24,7 +24,7 @@ REGIME_B = [(110, 1.1), (120, 1.2), (130, 1.3), (140, 1.4)]
 
 
 def two_regime_frame(a_repeats: int = 20, b_repeats: int = 20):
-    return make_trace(REGIME_A * a_repeats + REGIME_B * b_repeats).frame()
+    return make_trace(REGIME_A * a_repeats + REGIME_B * b_repeats)
 
 
 def monotone_frame(steps: int = 6, run: int = 32):
@@ -32,24 +32,23 @@ def monotone_frame(steps: int = 6, run: int = 32):
     pairs = []
     for step in range(steps):
         pairs += [(10 * (step + 1), 0.1 * (step + 1))] * run
-    return make_trace(pairs).frame()
+    return make_trace(pairs)
 
 
-def epoch_trace(pairs_by_epoch: list[list[tuple[int, float]]]) -> TrainingTrace:
-    trace = TrainingTrace(
+def epoch_trace(pairs_by_epoch: list[list[tuple[int, float]]]) -> TraceFrame:
+    records = []
+    for epoch, pairs in enumerate(pairs_by_epoch):
+        for seq_len, time_s in pairs:
+            records.append(
+                make_record(len(records), seq_len, time_s, epoch=epoch)
+            )
+    return TraceFrame.from_records(
         model_name="toy",
         dataset_name="synthetic",
         config_name="config#1",
         batch_size=64,
+        records=records,
     )
-    index = 0
-    for epoch, pairs in enumerate(pairs_by_epoch):
-        for seq_len, time_s in pairs:
-            trace.records.append(
-                make_record(index, seq_len, time_s, epoch=epoch)
-            )
-            index += 1
-    return trace
 
 
 class TestSegment:
@@ -63,7 +62,7 @@ class TestSegment:
 
 class TestStreamSegmenter:
     def test_stationary_stream_stays_one_segment(self):
-        frame = make_trace(REGIME_A * 40).frame()
+        frame = make_trace(REGIME_A * 40)
         segments = segment_frame(frame, cadence=8)
         assert segments == (Segment(0, len(frame)),)
 
@@ -107,7 +106,7 @@ class TestStreamSegmenter:
             assert seg.iterations >= 24
 
     def test_observe_past_frame_rejected(self):
-        frame = make_trace(REGIME_A * 4).frame()
+        frame = make_trace(REGIME_A * 4)
         with pytest.raises(ConfigurationError, match="past"):
             StreamSegmenter(cadence=4).observe(frame, upto=len(frame) + 1)
 
@@ -129,7 +128,7 @@ class TestStreamSegmenter:
 
 class TestSegmentedSelector:
     def test_single_segment_is_a_pure_pass_through(self):
-        frame = make_trace(REGIME_A * 40).frame()
+        frame = make_trace(REGIME_A * 40)
         base = SeqPointSelector()
         plain = base.select(frame)
         wrapped = SegmentedSelector(base, cadence=8).select(frame)
@@ -222,7 +221,7 @@ class TestSegmentedSelector:
             cadence=8,
             min_segment=8,
             split_epochs=True,
-        ).select(trace.frame())
+        ).select(trace)
         assert isinstance(out, SegmentedResult)
         assert [(s.start, s.stop) for s in out.segments] == [(0, 40), (40, 80)]
         assert out.selection.method == "segmented-drift[seqpoint]"
@@ -268,7 +267,7 @@ class TestSessionIntegration:
         for step in range(5):
             pairs += [(10 * (step + 1), 0.1 * (step + 1))] * 16
         pairs += [(60, 0.6)] * 120
-        frame = make_trace(pairs).frame()
+        frame = make_trace(pairs)
         knobs = dict(cadence=8, patience=3, rtol=0.01, drift_rtol=0.05)
         plain = StreamingIdentifier(SeqPointSelector(), **knobs).run(
             replay(frame, chunk_size=7)
@@ -303,7 +302,7 @@ class TestSessionIntegration:
                 assert check.open_segment_mean_s is not None
 
     def test_stationary_session_is_bit_identical_to_plain(self):
-        frame = make_trace(REGIME_A * 40).frame()
+        frame = make_trace(REGIME_A * 40)
         knobs = dict(cadence=20, patience=3, rtol=0.05)
         plain = StreamingIdentifier(SeqPointSelector(), **knobs).run(
             replay(frame, chunk_size=7)

@@ -17,19 +17,19 @@ PAIRS = [
 
 @pytest.fixture
 def frame() -> TraceFrame:
-    return make_trace(PAIRS).frame()
+    return make_trace(PAIRS)
 
 
 class TestAbsorb:
     def test_record_by_record_matches_batch(self, frame):
         stats = StreamingSlStatistics.for_frame(frame)
-        for record in make_trace(PAIRS).records:
+        for record in make_trace(PAIRS).build_records():
             stats.absorb(record)
         assert stats.statistics() == SlStatistics.from_trace(frame)
 
     def test_absorb_many_matches_batch(self, frame):
         stats = StreamingSlStatistics.for_frame(frame)
-        stats.absorb_many(make_trace(PAIRS).records)
+        stats.absorb_many(make_trace(PAIRS).build_records())
         assert stats.statistics() == SlStatistics.from_trace(frame)
 
     def test_frame_chunks_match_batch(self, frame):
@@ -41,7 +41,7 @@ class TestAbsorb:
 
     def test_mixed_record_and_frame_absorbs(self, frame):
         stats = StreamingSlStatistics.for_frame(frame)
-        stats.absorb_many(make_trace(PAIRS).records[:4])
+        stats.absorb_many(make_trace(PAIRS).build_records()[:4])
         stats.absorb_frame(frame, 4, len(frame))
         assert stats.statistics() == SlStatistics.from_trace(frame)
 
@@ -51,7 +51,7 @@ class TestAbsorb:
             stats = StreamingSlStatistics.for_frame(frame)
             stats.absorb_frame(frame, 0, m)
             prefix = TraceFrame.from_records(
-                "toy", "synthetic", "config#1", 64, trace.records[:m]
+                "toy", "synthetic", "config#1", 64, trace.build_records()[:m]
             )
             assert stats.statistics() == SlStatistics.from_trace(prefix)
 

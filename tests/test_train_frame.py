@@ -9,11 +9,12 @@ from repro.train.frame import (
     NO_TGT,
     SCHEMA_V2,
     IterationProfile,
+    IterationRecord,
     TraceFrame,
-    as_frame,
 )
-from repro.train.trace import IterationRecord, TrainingTrace
 from repro.util.serialize import dump_json, read_json
+
+from oracles import save_v1
 from tests.conftest import make_record, make_trace
 
 
@@ -55,8 +56,7 @@ def assert_frames_equal(left: TraceFrame, right: TraceFrame) -> None:
 
 class TestFromRecords:
     def test_columns_match_records(self):
-        trace = make_trace([(10, 1.0), (20, 2.0), (10, 1.5)])
-        frame = trace.frame()
+        frame = make_trace([(10, 1.0), (20, 2.0), (10, 1.5)])
         assert len(frame) == 3
         assert frame.seq_len.tolist() == [10, 20, 10]
         assert frame.time_s.tolist() == [1.0, 2.0, 1.5]
@@ -70,9 +70,9 @@ class TestFromRecords:
         assert frame.profile_id.tolist() == [0, 1] * 4
 
     def test_record_view_preserves_identity(self):
-        trace = make_trace([(10, 1.0), (20, 2.0)])
-        frame = trace.frame()
-        assert frame.record(1) is trace.records[1]
+        records = [make_record(0, 10, 1.0), make_record(1, 20, 2.0)]
+        frame = TraceFrame.from_records("m", "d", "c", 64, records)
+        assert frame.record(1) is records[1]
 
     def test_derived_columns(self):
         records = shared_profile_records(4)
@@ -87,12 +87,12 @@ class TestFromRecords:
         assert totals.valu_insts == pytest.approx(28.0)
 
     def test_unknown_counter_rejected(self):
-        frame = make_trace([(10, 1.0)]).frame()
+        frame = make_trace([(10, 1.0)])
         with pytest.raises(TraceError, match="unknown counter"):
             frame.counter_column("nope")
 
     def test_non_positive_time_rejected(self):
-        frame = make_trace([(10, 1.0)]).frame()
+        frame = make_trace([(10, 1.0)])
         with pytest.raises(TraceError, match="non-positive time"):
             TraceFrame(
                 model_name="m",
@@ -109,7 +109,7 @@ class TestFromRecords:
             )
 
     def test_profile_id_out_of_range_rejected(self):
-        frame = make_trace([(10, 1.0)]).frame()
+        frame = make_trace([(10, 1.0)])
         with pytest.raises(TraceError, match="profile pool"):
             TraceFrame(
                 model_name="m",
@@ -126,7 +126,7 @@ class TestFromRecords:
             )
 
     def test_column_length_mismatch_rejected(self):
-        frame = make_trace([(10, 1.0), (20, 2.0)]).frame()
+        frame = make_trace([(10, 1.0), (20, 2.0)])
         with pytest.raises(TraceError, match="column"):
             TraceFrame(
                 model_name="m",
@@ -143,68 +143,71 @@ class TestFromRecords:
             )
 
 
+def columns_only(frame: TraceFrame) -> TraceFrame:
+    """``frame``'s columns and pool without its source records, so rows
+    must materialise from the columns."""
+    return TraceFrame(
+        frame.model_name, frame.dataset_name, frame.config_name,
+        frame.batch_size,
+        index=frame.index,
+        epoch=frame.epoch,
+        seq_len=frame.seq_len,
+        tgt_len=frame.tgt_len,
+        time_s=frame.time_s,
+        profile_id=frame.profile_id,
+        profiles=frame.profiles,
+    )
+
+
 class TestLazyView:
     def test_from_frame_materialises_records_on_demand(self):
         frame = TraceFrame.from_records(
             "m", "d", "c", 64, shared_profile_records(4)
         )
-        trace = TrainingTrace.from_frame(frame)
-        assert len(trace) == 4
-        assert trace.total_time_s == pytest.approx(frame.total_time_s)
-        records = trace.records
+        rebuilt = columns_only(frame)
+        assert len(rebuilt) == 4
+        assert rebuilt.total_time_s == pytest.approx(frame.total_time_s)
+        records = rebuilt.build_records()
         assert [r.seq_len for r in records] == [10, 20, 10, 20]
         assert records[1].tgt_len == 25
+        assert records == frame.build_records()
 
     def test_mutating_records_rebuilds_frame(self):
         trace = make_trace([(10, 1.0)])
-        assert trace.frame().seq_len.tolist() == [10]
-        trace.records.append(make_record(1, 30, 3.0))
-        assert trace.frame().seq_len.tolist() == [10, 30]
-        trace.records.clear()
-        assert len(trace.frame()) == 0
+        assert trace.seq_len.tolist() == [10]
+        rows = trace.build_records() + [make_record(1, 30, 3.0)]
+        grown = TraceFrame.from_records("toy", "synthetic", "config#1", 64, rows)
+        assert grown.seq_len.tolist() == [10, 30]
+        assert trace.seq_len.tolist() == [10]  # frames are immutable
+        emptied = TraceFrame.from_records("toy", "synthetic", "config#1", 64, [])
+        assert len(emptied) == 0
         with pytest.raises(TraceError):
-            trace.throughput
+            emptied.throughput
 
     def test_phase_updates_propagate_to_frame(self):
         trace = make_trace([(10, 1.0)])
-        trace.autotune_s = 2.0
-        trace.eval_s = 0.5
-        frame = trace.frame()
+        frame = trace.with_phases(2.0, 0.5)
         assert frame.autotune_s == 2.0
         assert frame.eval_s == 0.5
-        assert trace.wall_time_s == pytest.approx(3.5)
-
-    def test_as_frame_accepts_both(self):
-        trace = make_trace([(10, 1.0)])
-        frame = trace.frame()
-        assert as_frame(frame) is frame
-        assert as_frame(trace) is frame
-
-    def test_as_frame_rejects_garbage(self):
-        with pytest.raises(TypeError):
-            as_frame(42)
-
-    def test_records_assignable(self):
-        trace = make_trace([(10, 1.0), (20, 2.0)])
-        trace.records = [make_record(0, 30, 3.0)]
-        assert trace.frame().seq_len.tolist() == [30]
-        trace.records += [make_record(1, 40, 4.0)]
-        assert trace.frame().seq_len.tolist() == [30, 40]
+        assert frame.wall_time_s == pytest.approx(3.5)
+        assert frame.time_s is trace.time_s
+        assert trace.wall_time_s == pytest.approx(1.0)
 
     def test_structural_equality(self, tmp_path):
         trace = make_trace([(10, 1.0), (20, 2.0)])
         path = tmp_path / "t.json"
         trace.save(path)
-        assert TrainingTrace.load(path) == trace
+        loaded = TraceFrame.load(path)
+        assert loaded.build_records() == trace.build_records()
+        assert loaded.to_payload() == trace.to_payload()
         other = make_trace([(10, 1.0)])
-        assert trace != other
-        assert trace != "not a trace"
+        assert other.build_records() != trace.build_records()
 
     def test_materialised_records_own_their_group_times(self):
         frame = TraceFrame.from_records(
             "m", "d", "c", 64, shared_profile_records(4)
         )
-        records = TrainingTrace.from_frame(frame).records
+        records = columns_only(frame).build_records()
         records[0].group_times["GEMM-1"] = 99.0
         # Siblings of the same shape and the profile pool are untouched.
         assert records[2].group_times["GEMM-1"] == 0.5
@@ -213,60 +216,62 @@ class TestLazyView:
 
 class TestPersistence:
     def make_seq2seq_trace(self):
-        trace = TrainingTrace("m", "d", "c", 32)
-        trace.records.extend(shared_profile_records(6))
-        trace.autotune_s = 1.25
-        trace.eval_s = 0.75
-        return trace
+        return TraceFrame.from_records(
+            "m", "d", "c", 32, shared_profile_records(6),
+            autotune_s=1.25, eval_s=0.75,
+        )
 
     def test_v2_round_trip_bit_equality(self, tmp_path):
         trace = self.make_seq2seq_trace()
         path = tmp_path / "trace.json"
         trace.save(path, version=2)
         assert read_json(path)["schema"] == SCHEMA_V2
-        loaded = TrainingTrace.load(path)
-        assert_frames_equal(loaded.frame(), trace.frame())
-        assert loaded.records == trace.records
+        loaded = TraceFrame.load(path)
+        assert_frames_equal(loaded, trace)
+        assert loaded.build_records() == trace.build_records()
 
     def test_v1_file_loads_into_same_frame(self, tmp_path):
         trace = self.make_seq2seq_trace()
         v1 = tmp_path / "v1.json"
         v2 = tmp_path / "v2.json"
-        trace.save(v1, version=1)
+        save_v1(trace, v1)
         trace.save(v2, version=2)
         assert read_json(v1)["schema"] == "repro.training-trace.v1"
-        from_v1 = TrainingTrace.load(v1)
-        from_v2 = TrainingTrace.load(v2)
-        assert_frames_equal(from_v1.frame(), trace.frame())
-        assert_frames_equal(from_v1.frame(), from_v2.frame())
-        assert from_v1.records == trace.records
+        from_v1 = TraceFrame.load(v1)
+        from_v2 = TraceFrame.load(v2)
+        assert_frames_equal(from_v1, trace)
+        assert_frames_equal(from_v1, from_v2)
+        assert from_v1.autotune_s == 1.25 and from_v1.eval_s == 0.75
+        assert from_v1.build_records() == trace.build_records()
 
     def test_v1_compact_profiles(self, tmp_path):
         trace = self.make_seq2seq_trace()
         path = tmp_path / "v1.json"
-        trace.save(path, version=1)
-        assert len(TrainingTrace.load(path).frame().profiles) == 2
+        save_v1(trace, path)
+        assert len(TraceFrame.load(path).profiles) == 2
 
     def test_unknown_schema_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         dump_json({"records": []}, path, "repro.training-trace.v99")
         with pytest.raises(TraceError, match="unknown trace schema"):
-            TrainingTrace.load(path)
+            TraceFrame.load(path)
 
     def test_unknown_save_version_rejected(self, tmp_path):
         trace = make_trace([(10, 1.0)])
-        with pytest.raises(TraceError, match="unknown trace format"):
-            trace.save(tmp_path / "t.json", version=99)
+        for version in (1, 99):  # v1 is read-only
+            with pytest.raises(TraceError, match="unknown trace format"):
+                trace.save(tmp_path / "t.json", version=version)
+        assert not (tmp_path / "t.json").exists()
 
     def test_profile_sharing_survives_round_trip(self, tmp_path):
         trace = self.make_seq2seq_trace()
         path = tmp_path / "trace.json"
         trace.save(path, version=2)
-        loaded = TrainingTrace.load(path)
+        loaded = TraceFrame.load(path)
         payload = read_json(path)
         assert len(payload["profiles"]) == 2
         assert payload["iterations"]["profile"] == [0, 1] * 3
-        assert loaded.frame().time_s.tolist() == trace.frame().time_s.tolist()
+        assert loaded.time_s.tolist() == trace.time_s.tolist()
 
 
 class TestIterationProfile:

@@ -32,7 +32,7 @@ class TestInferenceRunSimulator:
         corpus = build_iwslt(sentences=512)
         train_trace = TrainingRunSimulator(
             build_gnmt(), corpus, ShuffledBatching(8), devices[1]
-        ).run_epoch(include_eval=False)
+        ).run_epoch_frame(include_eval=False)
         infer_trace = InferenceRunSimulator(
             build_gnmt(), corpus, ShuffledBatching(8), devices[1]
         ).run_pass()

@@ -22,12 +22,12 @@ def ds2_sim(devices):
 
 class TestRunEpoch:
     def test_iteration_count(self, ds2_sim):
-        trace = ds2_sim.run_epoch(include_eval=False)
+        trace = ds2_sim.run_epoch_frame(include_eval=False)
         assert len(trace) == 640 // 64
 
     def test_sorted_runtimes_monotonic(self, ds2_sim):
-        trace = ds2_sim.run_epoch(include_eval=False)
-        times = [r.time_s for r in trace.records]
+        trace = ds2_sim.run_epoch_frame(include_eval=False)
+        times = [r.time_s for r in trace.build_records()]
         assert times == sorted(times)
 
     def test_autotune_charged_once(self, devices):
@@ -37,14 +37,14 @@ class TestRunEpoch:
             SortedBatching(64),
             devices[1],
         )
-        first = sim.run_epoch(epoch=0, include_eval=False)
-        second = sim.run_epoch(epoch=1, include_eval=False)
+        first = sim.run_epoch_frame(epoch=0, include_eval=False)
+        second = sim.run_epoch_frame(epoch=1, include_eval=False)
         assert first.autotune_s > 0
         # All shapes were tuned in epoch 0.
         assert second.autotune_s == 0.0
 
     def test_metadata_recorded(self, ds2_sim):
-        trace = ds2_sim.run_epoch(include_eval=False)
+        trace = ds2_sim.run_epoch_frame(include_eval=False)
         assert trace.model_name == "ds2"
         assert trace.config_name == "config#1"
         assert trace.batch_size == 64
@@ -55,7 +55,7 @@ class TestRunEpoch:
             build_ds2(), corpus, SortedBatching(512), devices[1]
         )
         with pytest.raises(ConfigurationError, match="too small"):
-            sim.run_epoch()
+            sim.run_epoch_frame()
 
 
 class TestEvalPhase:
@@ -66,12 +66,12 @@ class TestEvalPhase:
             build_ds2(), train, SortedBatching(64), devices[1],
             eval_dataset=evaluation,
         )
-        trace = sim.run_epoch()
+        trace = sim.run_epoch_frame()
         # Paper §IV-C1: evaluation is a few percent of epoch time.
         assert 0 < trace.eval_s < 0.10 * trace.total_time_s
 
     def test_eval_skipped_when_absent(self, ds2_sim):
-        assert ds2_sim.run_epoch(include_eval=True).eval_s == 0.0
+        assert ds2_sim.run_epoch_frame(include_eval=True).eval_s == 0.0
 
     def test_eval_follows_epoch_order(self, devices):
         # The eval plan is batched by the policy at the *simulated*
@@ -110,11 +110,11 @@ class TestNoise:
         corpus = build_iwslt(sentences=640)
         clean = TrainingRunSimulator(
             build_gnmt(), corpus, ShuffledBatching(64), devices[1]
-        ).run_epoch(include_eval=False)
+        ).run_epoch_frame(include_eval=False)
         noisy = TrainingRunSimulator(
             build_gnmt(), corpus, ShuffledBatching(64), devices[1],
             noise_sigma=0.05,
-        ).run_epoch(include_eval=False)
+        ).run_epoch_frame(include_eval=False)
         assert clean.total_time_s != noisy.total_time_s
         # but only slightly (5% sigma across 10 iterations).
         assert noisy.total_time_s == pytest.approx(clean.total_time_s, rel=0.2)
@@ -126,7 +126,7 @@ class TestNoise:
             return TrainingRunSimulator(
                 build_gnmt(), corpus, ShuffledBatching(64), devices[1],
                 noise_sigma=0.05, noise_seed=noise_seed,
-            ).run_epoch(include_eval=False).total_time_s
+            ).run_epoch_frame(include_eval=False).total_time_s
 
         assert run(1) == run(1)
         assert run(1) != run(2)
@@ -143,7 +143,7 @@ class TestNoise:
 class TestMeasureSeqLen:
     def test_matches_executor(self, ds2_sim):
         time_direct = ds2_sim.measure_seq_len(300)
-        trace = ds2_sim.run_epoch(include_eval=False)
+        trace = ds2_sim.run_epoch_frame(include_eval=False)
         # measure_seq_len is noise-free and keyed only by SL.
         assert time_direct > 0
         assert ds2_sim.measure_seq_len(300) == time_direct

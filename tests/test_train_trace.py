@@ -1,9 +1,9 @@
-"""Unit tests for repro.train.trace."""
+"""Trace aggregates, persistence and record validation on TraceFrame."""
 
 import pytest
 
 from repro.errors import TraceError
-from repro.train.trace import TrainingTrace
+from repro.train.frame import TraceFrame
 from tests.conftest import make_record, make_trace
 
 
@@ -13,9 +13,7 @@ class TestTrainingTrace:
         assert trace.total_time_s == pytest.approx(4.5)
 
     def test_wall_time_includes_phases(self):
-        trace = make_trace([(10, 1.0)])
-        trace.autotune_s = 3.0
-        trace.eval_s = 0.5
+        trace = make_trace([(10, 1.0)], autotune_s=3.0, eval_s=0.5)
         assert trace.wall_time_s == pytest.approx(4.5)
 
     def test_throughput(self):
@@ -32,11 +30,11 @@ class TestTrainingTrace:
 
     def test_records_for_seq_len(self):
         trace = make_trace([(10, 1.0), (20, 2.0), (10, 3.0)])
-        assert len(trace.records_for_seq_len(10)) == 2
+        rows = [trace.record(int(i)) for i in trace.indices_for_seq_len(10)]
+        assert [row.time_s for row in rows] == [1.0, 3.0]
 
     def test_empty_throughput_raises(self):
-        trace = make_trace([(10, 1.0)])
-        trace.records.clear()
+        trace = make_trace([])
         with pytest.raises(TraceError):
             trace.throughput
 
@@ -47,12 +45,10 @@ class TestTrainingTrace:
 
 class TestPersistence:
     def test_round_trip(self, tmp_path):
-        trace = make_trace([(10, 1.0), (20, 2.0)])
-        trace.autotune_s = 1.25
-        trace.eval_s = 0.75
+        trace = make_trace([(10, 1.0), (20, 2.0)], autotune_s=1.25, eval_s=0.75)
         path = tmp_path / "trace.json"
         trace.save(path)
-        loaded = TrainingTrace.load(path)
+        loaded = TraceFrame.load(path)
         assert loaded.model_name == trace.model_name
         assert loaded.total_time_s == pytest.approx(trace.total_time_s)
         assert loaded.autotune_s == 1.25
@@ -63,9 +59,9 @@ class TestPersistence:
         trace = make_trace([(10, 1.0)])
         path = tmp_path / "trace.json"
         trace.save(path)
-        loaded = TrainingTrace.load(path)
-        original = trace.records[0]
-        restored = loaded.records[0]
+        loaded = TraceFrame.load(path)
+        original = trace.record(0)
+        restored = loaded.record(0)
         assert restored.counters == original.counters
         assert restored.kernel_names == original.kernel_names
         assert restored.group_times == original.group_times
