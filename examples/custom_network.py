@@ -17,7 +17,7 @@ from repro import (
     paper_config,
     project_epoch_time,
 )
-from repro.data.dataset import Sample, SequenceDataset
+from repro.data.dataset import SequenceDataset
 from repro.data.distributions import LogNormalLengths
 from repro.models.layers.dense import DenseLayer
 from repro.models.layers.embedding import EmbeddingLayer
@@ -52,7 +52,7 @@ lengths = LogNormalLengths(median=60, sigma=0.7, min_len=4, max_len=400).sample(
 )
 corpus = SequenceDataset(
     name="reviews",
-    samples=tuple(Sample(length=int(l)) for l in lengths),
+    lengths=lengths,
     vocab=VOCAB,
 )
 

@@ -19,7 +19,7 @@ from repro import (
     paper_config,
 )
 from repro.core.projection import project_total
-from repro.data.dataset import Sample, SequenceDataset
+from repro.data.dataset import SequenceDataset
 from repro.data.distributions import LogNormalLengths
 from repro.util.rng import make_rng
 from repro.util.units import format_duration
@@ -30,7 +30,7 @@ lengths = LogNormalLengths(median=48, sigma=0.8, min_len=4, max_len=512).sample(
 )
 requests = SequenceDataset(
     name="prompts",
-    samples=tuple(Sample(length=int(l)) for l in lengths),
+    lengths=lengths,
     vocab=30_522,
 )
 

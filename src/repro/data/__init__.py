@@ -5,7 +5,8 @@ corpora themselves are not needed — SeqPoint consumes only the stream
 of per-iteration sequence lengths — so this package synthesises sample
 populations whose length *distributions* match the published shapes
 (paper Fig 7): log-normal sentence lengths for IWSLT, a short/long
-duration mixture for LibriSpeech.
+duration mixture for LibriSpeech.  A corpus is a :class:`SequenceDataset`
+of read-only int64 length columns, validated once in its constructor.
 """
 
 from repro.data.batching import (
@@ -15,7 +16,7 @@ from repro.data.batching import (
     SortaGradBatching,
     SortedBatching,
 )
-from repro.data.dataset import Sample, SequenceDataset
+from repro.data.dataset import SequenceDataset
 from repro.data.distributions import LengthDistribution, LogNormalLengths, MixtureLengths
 from repro.data.iwslt import build_iwslt
 from repro.data.librispeech import build_librispeech
@@ -26,7 +27,6 @@ __all__ = [
     "ShuffledBatching",
     "SortaGradBatching",
     "SortedBatching",
-    "Sample",
     "SequenceDataset",
     "LengthDistribution",
     "LogNormalLengths",

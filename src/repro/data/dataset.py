@@ -1,104 +1,94 @@
-"""Dataset container: a population of variable-length samples.
+"""Dataset container: a corpus as sequence-length columns.
 
-A :class:`SequenceDataset` is all SeqPoint ever sees of a corpus: how
-many samples, their lengths (and target-side lengths for seq2seq), and
-the vocabulary size (which must be preserved when sampling — the
-paper's Key Observation 6).
+A :class:`SequenceDataset` is all SeqPoint ever sees of a corpus: each
+sample's length (and target-side length for seq2seq) and the vocabulary
+size (which must be preserved when sampling — the paper's Key
+Observation 6).  The lengths are read-only int64 columns that the
+dataset owns; its constructor is the one place they are validated, so
+builders, :meth:`SequenceDataset.split` and hand-built corpora all meet
+the same rules.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 
-__all__ = ["Sample", "SequenceDataset"]
+__all__ = ["SequenceDataset"]
 
 
-@dataclass(frozen=True)
-class Sample:
-    """One training example's length metadata."""
-
-    length: int
-    tgt_length: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.length <= 0:
-            raise ConfigurationError(f"sample length must be positive: {self.length}")
-        if self.tgt_length is not None and self.tgt_length <= 0:
-            raise ConfigurationError(
-                f"target length must be positive: {self.tgt_length}"
-            )
+def _length_column(name: str, label: str, values) -> np.ndarray:
+    """``values`` as an owned, read-only, positive int64 column."""
+    array = np.asarray(values)
+    if array.ndim != 1:
+        raise ConfigurationError(f"{name}: {label} must be a 1-D column, got shape {array.shape}")
+    if array.size and array.dtype.kind not in "iu":
+        raise ConfigurationError(f"{name}: {label} must be integers, got dtype {array.dtype}")
+    column = array.astype(np.int64)
+    if column.size and column.min() <= 0:
+        raise ConfigurationError(f"{name}: {label} must be positive, got {column.min()}")
+    column.setflags(write=False)
+    return column
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SequenceDataset:
-    """A corpus as a population of sample lengths."""
+    """A corpus as a population of sample lengths (compared by identity)."""
 
     name: str
-    samples: tuple[Sample, ...]
+    #: Source-side length per sample.
+    lengths: np.ndarray
     vocab: int
     #: Human-readable modality, e.g. "speech-frames" or "text-tokens".
     unit: str = "tokens"
+    #: Target-side length per sample; ``None`` without a target side.
+    tgt_lengths: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if not self.samples:
+        lengths = _length_column(self.name, "sample lengths", self.lengths)
+        if not lengths.size:
             raise ConfigurationError(f"{self.name}: dataset has no samples")
         if self.vocab <= 0:
             raise ConfigurationError(f"{self.name}: vocab must be positive")
+        object.__setattr__(self, "lengths", lengths)
+        if self.tgt_lengths is not None:
+            targets = _length_column(self.name, "target lengths", self.tgt_lengths)
+            if targets.size != lengths.size:
+                raise ConfigurationError(
+                    f"{self.name}: {targets.size} target lengths for {lengths.size} samples"
+                )
+            object.__setattr__(self, "tgt_lengths", targets)
 
     def __len__(self) -> int:
-        return len(self.samples)
-
-    @cached_property
-    def lengths(self) -> np.ndarray:
-        """Source-side lengths as one immutable int64 column."""
-        array = np.array(
-            [sample.length for sample in self.samples], dtype=np.int64
-        )
-        array.setflags(write=False)
-        return array
-
-    @cached_property
-    def tgt_lengths(self) -> np.ndarray:
-        """Target-side lengths column (only meaningful for seq2seq)."""
-        array = np.array(
-            [sample.tgt_length for sample in self.samples], dtype=np.int64
-        )
-        array.setflags(write=False)
-        return array
+        return int(self.lengths.size)
 
     @property
     def has_targets(self) -> bool:
-        return self.samples[0].tgt_length is not None
+        return self.tgt_lengths is not None
 
     def length_histogram(self) -> dict[int, int]:
-        """Sample count per unique length (the Fig 7 statistic)."""
+        """Number of samples per unique length (the Fig 7 statistic)."""
         values, counts = np.unique(self.lengths, return_counts=True)
         return {int(v): int(c) for v, c in zip(values, counts)}
 
-    def split(self, eval_fraction: float, seed: int) -> tuple[
-        "SequenceDataset", "SequenceDataset"
-    ]:
-        """Deterministic train/eval split (eval is the paper's ~2-3%)."""
+    def split(self, eval_fraction: float, seed: int) -> tuple[SequenceDataset, SequenceDataset]:
+        """Deterministic train/eval split (eval is the paper's ~2-3%);
+        both parts keep the samples' original order."""
         if not 0.0 < eval_fraction < 1.0:
-            raise ConfigurationError(
-                f"eval_fraction must lie in (0, 1), got {eval_fraction}"
+            raise ConfigurationError(f"eval_fraction must lie in (0, 1), got {eval_fraction}")
+        order = np.random.default_rng(seed).permutation(len(self))
+        is_eval = np.zeros(len(self), dtype=bool)
+        is_eval[order[: max(1, int(len(self) * eval_fraction))]] = True
+        return tuple(
+            SequenceDataset(
+                f"{self.name}-{suffix}",
+                self.lengths[mask],
+                self.vocab,
+                self.unit,
+                None if self.tgt_lengths is None else self.tgt_lengths[mask],
             )
-        rng = np.random.default_rng(seed)
-        order = rng.permutation(len(self.samples))
-        eval_count = max(1, int(len(self.samples) * eval_fraction))
-        eval_idx = set(order[:eval_count].tolist())
-        train = tuple(
-            sample for i, sample in enumerate(self.samples) if i not in eval_idx
-        )
-        evaluation = tuple(
-            sample for i, sample in enumerate(self.samples) if i in eval_idx
-        )
-        return (
-            SequenceDataset(f"{self.name}-train", train, self.vocab, self.unit),
-            SequenceDataset(f"{self.name}-eval", evaluation, self.vocab, self.unit),
+            for suffix, mask in (("train", ~is_eval), ("eval", is_eval))
         )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.data.dataset import Sample, SequenceDataset
+from repro.data.dataset import SequenceDataset
 from repro.data.distributions import LogNormalLengths
 from repro.models.gnmt import GNMT_VOCAB
 from repro.util.rng import derive_seed, make_rng
@@ -39,9 +39,7 @@ def build_iwslt(
     ratios = ratio_rng.normal(_TGT_RATIO_MEAN, _TGT_RATIO_STD, size=sentences)
     tgt = np.clip(np.rint(src * ratios), 1, IWSLT_MAX_LEN).astype(np.int64)
 
-    samples = tuple(
-        Sample(length=int(s), tgt_length=int(t)) for s, t in zip(src, tgt)
-    )
     return SequenceDataset(
-        name="iwslt15", samples=samples, vocab=GNMT_VOCAB, unit="tokens"
+        name="iwslt15", lengths=src, vocab=GNMT_VOCAB, unit="tokens",
+        tgt_lengths=tgt,
     )

@@ -3,7 +3,7 @@
 LibriSpeech train-clean-100 has 28.5k utterances totalling ~100 hours:
 a mode of long read-speech segments (10-17 s, where chapter audio is
 chunked near the corpus cap) plus a shorter-utterance mode from
-sentence-final fragments.  Sample lengths are *spectrogram frames* at a
+sentence-final fragments.  Utterance lengths are *spectrogram frames* at a
 20 ms hop (50 frames/s, the paper-era DS2 front-end); DS2's strided
 convolutions halve them, so an SL-804 batch reaches the GRU stack as
 402 steps — Table I's ``N = 64*402``.
@@ -11,7 +11,7 @@ convolutions halve them, so an SL-804 batch reaches the GRU stack as
 
 from __future__ import annotations
 
-from repro.data.dataset import Sample, SequenceDataset
+from repro.data.dataset import SequenceDataset
 from repro.data.distributions import LogNormalLengths, MixtureLengths
 from repro.models.ds2 import DS2_ALPHABET
 from repro.util.rng import derive_seed, make_rng
@@ -42,11 +42,9 @@ def build_librispeech(
             min_len=_MIN_FRAMES, max_len=_MAX_FRAMES,
         )),
     )
-    frames = distribution.sample(rng, utterances)
-    samples = tuple(Sample(length=int(f)) for f in frames)
     return SequenceDataset(
         name="librispeech-100h",
-        samples=samples,
+        lengths=distribution.sample(rng, utterances),
         vocab=DS2_ALPHABET,
         unit="frames",
     )

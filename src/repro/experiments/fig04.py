@@ -8,6 +8,8 @@ iteration, as the paper's bar chart is.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.experiments.base import ExperimentResult
 from repro.experiments.setups import BATCH_SIZE, scenario
 from repro.hw.config import paper_config
@@ -21,9 +23,7 @@ _COUNTERS = ("write_stall_cycles", "valu_insts", "dram_read_bytes")
 
 def representative_seq_lens(network: str, scale: float = 1.0) -> list[int]:
     """Four SLs spread across the network's observed range."""
-    lengths = sorted(
-        {sample.length for sample in scenario(network, scale).train_data.samples}
-    )
+    lengths = np.unique(scenario(network, scale).train_data.lengths).tolist()
     quartiles = [0.08, 0.35, 0.65, 0.95]
     return [lengths[int(q * (len(lengths) - 1))] for q in quartiles]
 

@@ -8,6 +8,8 @@ with problem sizes).
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.experiments.base import ExperimentResult
 from repro.experiments.setups import BATCH_SIZE, scenario
 from repro.hw.config import paper_config
@@ -20,9 +22,7 @@ __all__ = ["run", "sl_pairs"]
 
 def sl_pairs(network: str, scale: float = 1.0) -> list[tuple[int, int]]:
     """Two SL pairs per network, as the paper plots."""
-    lengths = sorted(
-        {sample.length for sample in scenario(network, scale).train_data.samples}
-    )
+    lengths = np.unique(scenario(network, scale).train_data.lengths).tolist()
     low = lengths[int(0.10 * (len(lengths) - 1))]
     mid = lengths[int(0.50 * (len(lengths) - 1))]
     high = lengths[int(0.95 * (len(lengths) - 1))]

@@ -8,6 +8,8 @@ iteration of each network.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.experiments.base import ExperimentResult
 from repro.experiments.setups import BATCH_SIZE, scenario
 from repro.hw.config import paper_config
@@ -26,7 +28,7 @@ def run(scale: float = 1.0) -> ExperimentResult:
     rows: list[list[object]] = []
     for network in ("gnmt", "ds2"):
         setup = scenario(network, scale)
-        lengths = sorted({s.length for s in setup.train_data.samples})
+        lengths = np.unique(setup.train_data.lengths).tolist()
         short = lengths[int(0.10 * (len(lengths) - 1))]
         long_ = lengths[int(0.95 * (len(lengths) - 1))]
         profiler = Profiler(setup.model, device)

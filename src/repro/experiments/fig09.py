@@ -20,7 +20,7 @@ _POINTS = 12
 
 def sweep(network: str, scale: float = 1.0) -> list[tuple[int, float]]:
     """(seq_len, time_s) samples across the network's SL range."""
-    lengths = sorted({s.length for s in scenario(network, scale).train_data.samples})
+    lengths = np.unique(scenario(network, scale).train_data.lengths).tolist()
     picks = [
         lengths[int(q * (len(lengths) - 1))]
         for q in np.linspace(0.0, 1.0, _POINTS)

@@ -45,7 +45,7 @@ def sensitivity_curves(
     network: str, scale: float = 1.0
 ) -> dict[int, list[tuple[int, float]]]:
     """config index -> [(seq_len, uplift % of #1 over that config)]."""
-    lengths = sorted({s.length for s in scenario(network, scale).train_data.samples})
+    lengths = np.unique(scenario(network, scale).train_data.lengths).tolist()
     picks = sorted(
         {lengths[int(q * (len(lengths) - 1))] for q in np.linspace(0, 1, _POINTS)}
     )

@@ -54,6 +54,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.errors import StorageError
 from repro.hw.config import HardwareConfig
 from repro.hw.timing import WorkBatch
 from repro.kernels.gemm import (
@@ -464,7 +465,9 @@ class PlanStore:
     lock for the duration of a miss plus atomic temp-file + rename
     publication, so racing spawn workers lower each unique plan exactly
     once machine-wide.  An artefact of an older :data:`PLAN_SCHEMA`
-    found under a key is rebuilt and replaced, never served.
+    found under a key is rebuilt and replaced, never served; one that
+    fails to load is renamed to ``*.npt.corrupt``, counted in
+    ``quarantined``, and rebuilt.
     """
 
     def __init__(self, directory: str | Path):
@@ -472,6 +475,7 @@ class PlanStore:
         self._lock = Lock()
         self.hits = 0
         self.misses = 0
+        self.quarantined = 0
 
     @staticmethod
     def key_for(fingerprint: Mapping[str, Any]) -> str:
@@ -496,12 +500,11 @@ class PlanStore:
         key = self.key_for(fingerprint)
         path = self._path(key)
         with file_lock(self.directory, key):
-            if path.exists():
-                stored = ColumnStore(path)
-                if stored.schema == PLAN_SCHEMA:
-                    with self._lock:
-                        self.hits += 1
-                    return _plan_from_store(stored)
+            plan = self._load(path)
+            if plan is not None:
+                with self._lock:
+                    self.hits += 1
+                return plan
             plan = build()
             meta, columns = _plan_columns(plan)
             staging = path.with_name(f"{path.name}.{os.getpid()}.tmp")
@@ -511,12 +514,35 @@ class PlanStore:
                 self.misses += 1
             return plan
 
+    def _load(self, path: Path) -> Plan | None:
+        """The current-schema plan at ``path``, or ``None``; the caller
+        holds the key's file lock."""
+        if not path.exists():
+            return None
+        try:
+            stored = ColumnStore(path)
+            if stored.schema != PLAN_SCHEMA:
+                return None
+            return _plan_from_store(stored)
+        except StorageError:
+            # Derived data: set it aside so the key rebuilds instead of
+            # failing every later lookup.
+            os.replace(path, path.with_name(f"{path.name}.corrupt"))
+            with self._lock:
+                self.quarantined += 1
+            return None
+
     def stats(self) -> dict[str, int]:
         entries = 0
         if self.directory.is_dir():
             entries = sum(1 for _ in self.directory.glob("*.npt"))
         with self._lock:
-            return {"entries": entries, "hits": self.hits, "misses": self.misses}
+            return {
+                "entries": entries,
+                "hits": self.hits,
+                "misses": self.misses,
+                "quarantined": self.quarantined,
+            }
 
     def __repr__(self) -> str:
         return f"PlanStore({str(self.directory)!r})"

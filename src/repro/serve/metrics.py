@@ -10,8 +10,8 @@ histogram per endpoint *template* (``POST /jobs``, ``GET /jobs/<id>``,
 :func:`storage_snapshot` formats the storage tier for ``/stats``:
 per-format (json/binary) on-disk trace-cache entry counts, cold-load
 latency counters, the count of corrupt artefacts quarantined, and —
-when the daemon runs with a plan store — the store's entry/hit/miss
-counters.
+when the daemon runs with a plan store — the store's entry, hit, miss
+and quarantine counters.
 """
 
 from __future__ import annotations

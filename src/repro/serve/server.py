@@ -247,6 +247,9 @@ class _Handler(BaseHTTPRequestHandler):
     app: ServeApp  # injected via the subclass ReproServer builds
     server_version = "repro-serve"
     protocol_version = "HTTP/1.1"
+    # Headers and body leave as two writes on a keep-alive socket; with
+    # Nagle on, the body waits for the client's delayed ACK (~40 ms).
+    disable_nagle_algorithm = True
 
     # The default handler logs every request to stderr; a daemon
     # serving a benchmark would drown in it.

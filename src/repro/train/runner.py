@@ -26,6 +26,8 @@ jitter on real hardware; it is off by default so tests are exact.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.data.batching import BatchingPolicy
@@ -44,6 +46,34 @@ from repro.train.iteration import DEFAULT_HOST_OVERHEAD_S, IterationExecutor
 from repro.util.rng import derive_seed, make_rng
 
 __all__ = ["TrainingRunSimulator", "memoized_shape_walk"]
+
+#: Jitter columns kept by :func:`_jitter_column`: one per (noise seed,
+#: sigma, epoch, epoch length) — a handful of configs times epochs in a
+#: long-lived service, at 8 bytes per iteration each.
+_JITTER_MEMO_SIZE = 64
+
+
+def _jitter(noise_seed: int, sigma: float, epoch: int, index: int) -> float:
+    """Iteration ``index``'s log-normal jitter factor in ``epoch``."""
+    rng = make_rng(derive_seed(noise_seed, "noise", epoch, index))
+    return float(rng.lognormal(mean=0.0, sigma=sigma))
+
+
+@lru_cache(maxsize=_JITTER_MEMO_SIZE)
+def _jitter_column(
+    noise_seed: int, sigma: float, epoch: int, count: int
+) -> np.ndarray:
+    """One epoch's jitter factors, memoized: the column is a pure
+    function of its arguments, and every warm job re-simulating a
+    config's epoch would otherwise redraw it iteration by iteration.
+    Read-only, since every caller shares it."""
+    column = np.fromiter(
+        (_jitter(noise_seed, sigma, epoch, index) for index in range(count)),
+        dtype=np.float64,
+        count=count,
+    )
+    column.setflags(write=False)
+    return column
 
 
 def memoized_shape_walk(
@@ -136,18 +166,13 @@ class TrainingRunSimulator:
     def _noise(self, epoch: int, index: int) -> float:
         if self.noise_sigma == 0.0:
             return 1.0
-        rng = make_rng(derive_seed(self.noise_seed, "noise", epoch, index))
-        return float(rng.lognormal(mean=0.0, sigma=self.noise_sigma))
+        return _jitter(self.noise_seed, self.noise_sigma, epoch, index)
 
     def _noise_column(self, epoch: int, count: int) -> np.ndarray | None:
         """Per-iteration jitter factors for one epoch (None when off)."""
         if self.noise_sigma == 0.0:
             return None
-        return np.fromiter(
-            (self._noise(epoch, index) for index in range(count)),
-            dtype=np.float64,
-            count=count,
-        )
+        return _jitter_column(self.noise_seed, self.noise_sigma, epoch, count)
 
     def _eval_phase_time(self, epoch: int = 0) -> float:
         """Evaluation-pass time after ``epoch``.

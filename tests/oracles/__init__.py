@@ -3,12 +3,14 @@ checked against.
 
 Each layer of ``repro`` ships one path: batched lowering and timing,
 shape-memoized epochs, column-wise batch formation, shape-memoized
-serving.  The per-invocation, per-iteration, per-request and per-batch
-loops those paths replaced live here, unchanged in substance, as the
-ground truth of the bit-identity tests and the baseline of the speedup
-benches (``benchmarks/`` put ``tests/`` on ``sys.path`` to import them).
+serving, length-column corpora.  The per-invocation, per-iteration,
+per-request, per-batch and per-sample loops those paths replaced live
+here, unchanged in substance, as the ground truth of the bit-identity
+tests and the baseline of the speedup benches (``benchmarks/`` put
+``tests/`` on ``sys.path`` to import them).
 """
 
+from .data import Sample, split_samples
 from .kernels import (
     ReferenceAutotuner,
     candidate_variants,
@@ -27,6 +29,7 @@ from .trace_v1 import save_v1
 
 __all__ = [
     "ReferenceAutotuner",
+    "Sample",
     "ScalarExecutor",
     "candidate_variants",
     "charge_reference",
@@ -38,4 +41,5 @@ __all__ = [
     "scalar_pipeline",
     "select_reference",
     "serve_scalar",
+    "split_samples",
 ]

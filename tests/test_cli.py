@@ -409,6 +409,25 @@ class TestTraffic:
         assert json.loads(capsys.readouterr().out)["requests"] == 64
         assert list(plans.glob("*.npt"))
 
+    def test_corrupt_plan_store_entry_is_rebuilt(self, tmp_path, capsys):
+        from repro.models.plan import PLAN_CACHE
+
+        plans = tmp_path / "plans"
+        argv = ["traffic", *self._FAST, "--format", "json",
+                "--plan-store-dir", str(plans)]
+        PLAN_CACHE.clear()
+        assert main(argv) == 0
+        first = json.loads(capsys.readouterr().out)
+        victim = sorted(plans.glob("*.npt"))[0]
+        with victim.open("r+b") as handle:
+            handle.truncate(100)
+        for _ in range(2):
+            PLAN_CACHE.clear()  # force lowerings through the store
+            assert main(argv) == 0
+            assert json.loads(capsys.readouterr().out) == first
+        assert victim.with_name(f"{victim.name}.corrupt").exists()
+        assert victim.stat().st_size > 100
+
 
 class TestCleanErrors:
     """Library failures exit 2 with one stderr line, never a traceback."""

@@ -1,18 +1,17 @@
 """Unit tests for repro.data.batching."""
 
+import numpy as np
 import pytest
 
 from repro.data.batching import PooledBucketing, ShuffledBatching, SortedBatching
-from repro.data.dataset import Sample, SequenceDataset
+from repro.data.dataset import SequenceDataset
 from repro.errors import ConfigurationError
 
 
 def corpus(n: int = 1000, with_targets: bool = False) -> SequenceDataset:
-    samples = tuple(
-        Sample(length=(i % 97) + 1, tgt_length=((i % 97) + 2) if with_targets else None)
-        for i in range(n)
-    )
-    return SequenceDataset("toy", samples, vocab=50)
+    lengths = np.arange(n) % 97 + 1
+    targets = lengths + 1 if with_targets else None
+    return SequenceDataset("toy", lengths, vocab=50, tgt_lengths=targets)
 
 
 class TestCommonBehaviour:

@@ -1,9 +1,35 @@
 """Unit tests for the synthetic IWSLT and LibriSpeech corpora."""
 
+import hashlib
+
 import numpy as np
 
 from repro.data.iwslt import IWSLT_MAX_LEN, build_iwslt
 from repro.data.librispeech import FRAMES_PER_SECOND, build_librispeech
+
+
+def column_digest(column: np.ndarray) -> str:
+    assert column.dtype == np.int64
+    return hashlib.sha256(column.tobytes()).hexdigest()
+
+
+class TestPaperScaleDigests:
+    """Pinned paper-scale columns: a builder change cannot shift them
+    silently (every downstream trace and projection depends on them)."""
+
+    def test_iwslt_columns(self):
+        corpus = build_iwslt()
+        assert column_digest(corpus.lengths) == (
+            "fc8721b251b4b78ead0233564126cba7122ee5079922a44a5faa5e09958a871d"
+        )
+        assert column_digest(corpus.tgt_lengths) == (
+            "8255570d06db4458670a784dcd66b3ba8a532472e339db67f3c2f8580d9c8b4b"
+        )
+
+    def test_librispeech_column(self):
+        assert column_digest(build_librispeech().lengths) == (
+            "2aced913d349263fe6913a3674b7648a74fdcead23172ff15985e89e4a5c6e32"
+        )
 
 
 class TestIwslt:
@@ -25,9 +51,8 @@ class TestIwslt:
 
     def test_targets_track_sources(self):
         corpus = build_iwslt(sentences=20_000)
-        ratios = [
-            s.tgt_length / s.length for s in corpus.samples if s.length >= 5
-        ]
+        long_enough = corpus.lengths >= 5
+        ratios = corpus.tgt_lengths[long_enough] / corpus.lengths[long_enough]
         assert 1.0 <= float(np.mean(ratios)) <= 1.2
 
     def test_deterministic(self):

@@ -97,7 +97,9 @@ class TestPlanStore:
             fingerprint, lambda: pytest.fail("must not rebuild")
         )
         assert_plans_equal(plan, loaded)
-        assert store.stats() == {"entries": 1, "hits": 1, "misses": 1}
+        assert store.stats() == {
+            "entries": 1, "hits": 1, "misses": 1, "quarantined": 0,
+        }
 
     def test_loaded_plan_times_bit_identically(self, tmp_path):
         from repro.hw.device import GpuDevice
@@ -116,6 +118,47 @@ class TestPlanStore:
         store.get_or_compute({"k": 1}, lambda: plan)
         store.get_or_compute({"k": 2}, lambda: plan)
         assert store.stats()["entries"] == 2
+
+
+def _truncate(path: Path) -> None:
+    with path.open("r+b") as handle:
+        handle.truncate(100)
+
+
+def _zero_length(path: Path) -> None:
+    path.write_bytes(b"")
+
+
+def _flip_header_bit(path: Path) -> None:
+    # Byte 16 opens the JSON header ("{"); one flipped bit garbles it.
+    data = bytearray(path.read_bytes())
+    data[16] ^= 0x01
+    path.write_bytes(bytes(data))
+
+
+class TestQuarantine:
+    """A corrupt artefact is set aside and rebuilt, not fatal forever."""
+
+    @pytest.mark.parametrize("corrupt", [_truncate, _zero_length, _flip_header_bit])
+    def test_corrupt_entry_rebuilds_bit_identically(self, tmp_path, corrupt):
+        plan = tiny_plan()
+        fingerprint = {"model": "tiny", "kind": "train"}
+        PlanStore(tmp_path).get_or_compute(fingerprint, lambda: plan)
+        (artefact,) = tmp_path.glob("*.npt")
+        corrupt(artefact)
+
+        store = PlanStore(tmp_path)
+        rebuilt = store.get_or_compute(fingerprint, tiny_plan)
+        assert_plans_equal(plan, rebuilt)
+        assert store.stats() == {
+            "entries": 1, "hits": 0, "misses": 1, "quarantined": 1,
+        }
+        assert artefact.with_name(f"{artefact.name}.corrupt").exists()
+        # The rebuilt artefact replaced the corrupt one on disk.
+        fresh = PlanStore(tmp_path)
+        loaded = fresh.get_or_compute(fingerprint, lambda: pytest.fail("rebuild"))
+        assert_plans_equal(plan, loaded)
+        assert fresh.stats()["quarantined"] == 0
 
 
 class TestPlanCacheIntegration:

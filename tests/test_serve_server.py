@@ -5,6 +5,7 @@ HTTP-contract tests run a real :class:`ReproServer` on an ephemeral
 port and talk to it with ``urllib`` and raw sockets.
 """
 
+import http.client
 import json
 import socket
 import threading
@@ -391,6 +392,7 @@ class TestStorageStats:
             plan_store = storage["plan_store"]
             assert plan_store["entries"] > 0
             assert plan_store["misses"] > 0
+            assert plan_store["quarantined"] == 0
         finally:
             app.close()
 
@@ -579,6 +581,24 @@ class TestHttpTransport:
         )
         assert status == 200
         assert envelope["session"]["iterations_consumed"] == len(CYCLE)
+
+    def test_keep_alive_round_trips_do_not_stall(self, server):
+        # Headers and body are two writes; with Nagle's algorithm on,
+        # each response's body waits out the client's delayed ACK.
+        connection = http.client.HTTPConnection(
+            server.host, server.port, timeout=5
+        )
+        try:
+            started = time.perf_counter()
+            for _ in range(20):
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                assert response.status == 200
+                response.read()
+            elapsed = time.perf_counter() - started
+        finally:
+            connection.close()
+        assert elapsed < 0.4, f"20 keep-alive round trips took {elapsed:.3f} s"
 
     def test_latency_metrics_accumulate(self, server):
         for _ in range(3):

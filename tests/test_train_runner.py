@@ -1,15 +1,16 @@
 """Unit tests for repro.train.runner."""
 
+import numpy as np
 import pytest
 
 from repro.data.batching import ShuffledBatching, SortedBatching
-from repro.data.dataset import Sample, SequenceDataset
+from repro.data.dataset import SequenceDataset
 from repro.data.iwslt import build_iwslt
 from repro.data.librispeech import build_librispeech
 from repro.errors import ConfigurationError
 from repro.models.ds2 import build_ds2
 from repro.models.gnmt import build_gnmt
-from repro.train.runner import TrainingRunSimulator
+from repro.train.runner import TrainingRunSimulator, _jitter_column
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +82,7 @@ class TestEvalPhase:
         train = build_librispeech(utterances=640)
         evaluation = SequenceDataset(
             "distinct-eval",
-            tuple(Sample(length=100 + 7 * i) for i in range(48)),
+            100 + 7 * np.arange(48),
             vocab=29,
         )
         sim = TrainingRunSimulator(
@@ -130,6 +131,42 @@ class TestNoise:
 
         assert run(1) == run(1)
         assert run(1) != run(2)
+
+    def _sim(self, devices, seed=0, noise_seed=None, sigma=0.05):
+        return TrainingRunSimulator(
+            build_gnmt(), build_iwslt(sentences=640), ShuffledBatching(64),
+            devices[1], noise_sigma=sigma, seed=seed, noise_seed=noise_seed,
+        )
+
+    def test_noise_column_equals_per_iteration_draws(self, devices):
+        sim = self._sim(devices, noise_seed=4101)
+        column = sim._noise_column(2, 37)
+        assert column.tolist() == [sim._noise(2, index) for index in range(37)]
+
+    def test_noise_column_shared_across_data_seeds(self, devices):
+        # Same hardware config (noise seed), different data order: the
+        # second runner reuses the first runner's column.
+        first = self._sim(devices, seed=1, noise_seed=4102)._noise_column(0, 50)
+        hits = _jitter_column.cache_info().hits
+        second = self._sim(devices, seed=2, noise_seed=4102)._noise_column(0, 50)
+        assert _jitter_column.cache_info().hits == hits + 1
+        assert second is first
+
+    def test_noise_column_keyed_on_seed_sigma_and_epoch(self, devices):
+        base = self._sim(devices, noise_seed=4103)._noise_column(0, 20)
+        others = [
+            self._sim(devices, noise_seed=4104)._noise_column(0, 20),
+            self._sim(devices, noise_seed=4103, sigma=0.1)._noise_column(0, 20),
+            self._sim(devices, noise_seed=4103)._noise_column(1, 20),
+        ]
+        for other in others:
+            assert not np.array_equal(other, base)
+
+    def test_noise_column_is_read_only(self, devices):
+        column = self._sim(devices, noise_seed=4105)._noise_column(0, 10)
+        assert not column.flags.writeable
+        with pytest.raises(ValueError):
+            column[0] = 1.0
 
     def test_negative_sigma_rejected(self, devices):
         corpus = build_iwslt(sentences=640)
