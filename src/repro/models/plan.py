@@ -68,6 +68,7 @@ from repro.kernels.gemm import (
 from repro.models.schedule import KernelSchedule
 from repro.util.filelock import file_lock
 from repro.util.npt import ColumnStore, write_columns
+from repro.util.stats import unique_by_first_appearance
 
 __all__ = [
     "SchedulePlan",
@@ -186,23 +187,13 @@ def compile_plan(schedule: KernelSchedule) -> SchedulePlan | StructuralPlan:
     id_column = np.fromiter(map(id, invocations), np.int64, n)
     count_column = np.fromiter((entry[1] for entry in entries), np.int64, n)
 
-    # Group by identity, ranked by first appearance (the dedupe_shapes
-    # idiom from repro.train.frame).
-    _, first_index, inverse = np.unique(
-        id_column, return_index=True, return_inverse=True
-    )
-    inverse = inverse.reshape(-1)
-    appearance = np.argsort(first_index, kind="stable")
-    rank = np.empty(appearance.size, dtype=np.int64)
-    rank[appearance] = np.arange(appearance.size)
-    object_row = rank[inverse]
+    # Group by identity, ranked by first appearance.
+    _, first_index, object_row = unique_by_first_appearance(id_column)
     # Integer-valued float sums below 2**53 are exact.
     object_counts = np.bincount(
-        object_row, weights=count_column, minlength=appearance.size
+        object_row, weights=count_column, minlength=first_index.size
     ).astype(np.int64)
-    unique_invocations = [
-        invocations[i] for i in first_index[appearance].tolist()
-    ]
+    unique_invocations = [invocations[i] for i in first_index.tolist()]
 
     # Equality merge across distinct-but-equal objects (rare).
     totals: dict = {}
@@ -299,18 +290,13 @@ def _intern(
     ``table.setdefault(token, len(table))`` loop over the rows builds.
     """
     width = int(tokens.max()) + 1
-    unique, first, inverse = np.unique(
-        plan_of_row * width + tokens, return_index=True, return_inverse=True
-    )
-    # Rows of earlier plans come first, so ordering by first row orders
-    # by plan, then by first appearance within the plan.
-    order = np.argsort(first, kind="stable")
-    rank = np.empty(order.size, dtype=np.int64)
-    rank[order] = np.arange(order.size)
-    table_sizes = np.bincount(unique[order] // width, minlength=plans)
+    # Rows of earlier plans come first, so first-appearance order is
+    # plan order, then first appearance within the plan.
+    unique, _, inverse = unique_by_first_appearance(plan_of_row * width + tokens)
+    table_sizes = np.bincount(unique // width, minlength=plans)
     table_starts = np.concatenate(([0], np.cumsum(table_sizes)))
-    ids = rank[inverse.reshape(-1)] - table_starts[plan_of_row]
-    ordered = (unique[order] % width).tolist()
+    ids = inverse - table_starts[plan_of_row]
+    ordered = (unique % width).tolist()
     bounds = table_starts.tolist()
     return ids, [ordered[bounds[j] : bounds[j + 1]] for j in range(plans)]
 

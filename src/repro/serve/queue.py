@@ -35,6 +35,10 @@ JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 #: States a job can never leave.
 TERMINAL_STATES = ("done", "failed", "cancelled")
 
+#: Terminal jobs kept for polling; past it the first to finish is
+#: forgotten (a 404).  Queued and running jobs are never evicted.
+_MAX_TERMINAL_JOBS = 4096
+
 
 class JobCancelled(ReproError):
     """Raised inside a worker when its job's cancel event is set."""
@@ -98,6 +102,9 @@ class JobQueue:
         self._work_ready = threading.Condition(self._lock)
         self._pending: deque[Job] = deque()
         self._jobs: dict[str, Job] = {}
+        #: Terminal job ids, in the order they finished.
+        self._terminal: deque[str] = deque()
+        self._evicted = 0
         self._ids = itertools.count(1)
         self._closed = False
 
@@ -137,15 +144,14 @@ class JobQueue:
                 raise NotFoundError(f"no such job: {job_id}")
             if job.state == "queued":
                 self._pending.remove(job)
-                job.state = "cancelled"
-                job.finished_s = time.time()
                 job.cancel_event.set()
+                self._retire(job, "cancelled")
             elif job.state == "running":
                 job.cancel_event.set()
             return job
 
     def snapshot(self) -> dict[str, Any]:
-        """Queue depth and per-state counts, for ``/stats``."""
+        """Queue depth, per-state counts and evictions, for ``/stats``."""
         with self._lock:
             counts = dict.fromkeys(JOB_STATES, 0)
             for job in self._jobs.values():
@@ -154,6 +160,7 @@ class JobQueue:
                 "depth": len(self._pending),
                 "jobs": len(self._jobs),
                 "states": counts,
+                "evicted": self._evicted,
             }
 
     def jobs(self) -> list[Job]:
@@ -188,20 +195,26 @@ class JobQueue:
     def finish(self, job: Job, result: Any) -> None:
         with self._lock:
             job.result = result
-            job.state = "done"
-            job.finished_s = time.time()
+            self._retire(job, "done")
 
     def fail(self, job: Job, exc: BaseException) -> None:
         with self._lock:
             job.error = one_line(str(exc))
             job.error_type = type(exc).__name__
-            job.state = "failed"
-            job.finished_s = time.time()
+            self._retire(job, "failed")
 
     def mark_cancelled(self, job: Job) -> None:
         with self._lock:
-            job.state = "cancelled"
-            job.finished_s = time.time()
+            self._retire(job, "cancelled")
+
+    def _retire(self, job: Job, state: str) -> None:
+        """End ``job`` in ``state`` and apply the bound; lock held."""
+        job.state = state
+        job.finished_s = time.time()
+        self._terminal.append(job.id)
+        while len(self._terminal) > _MAX_TERMINAL_JOBS:
+            del self._jobs[self._terminal.popleft()]
+            self._evicted += 1
 
     def close(self) -> None:
         """Stop accepting work and wake every blocked worker."""

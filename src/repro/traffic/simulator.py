@@ -43,6 +43,7 @@ from repro.train.frame import NO_TGT, IterationProfile, TraceFrame
 from repro.train.inference import DEFAULT_SERVING_OVERHEAD_S
 from repro.train.iteration import IterationExecutor
 from repro.util.histogram import LatencyHistogram
+from repro.util.stats import unique_by_first_appearance
 
 __all__ = ["ServedTraffic", "TrafficSimulator", "latency_snapshot"]
 
@@ -252,15 +253,7 @@ class TrafficSimulator:
         seq_base = int(seq_len.max(initial=0)) + 1
         tgt_base = int(tgt_shift.max(initial=0)) + 1
         code = (sizes * seq_base + seq_len) * tgt_base + tgt_shift
-        _, first_index, inverse = np.unique(
-            code, return_index=True, return_inverse=True
-        )
-        # np.unique sorts; re-rank the unique ids by first appearance.
-        order = np.argsort(first_index, kind="stable")
-        rank = np.empty(order.size, dtype=np.int64)
-        rank[order] = np.arange(order.size, dtype=np.int64)
-        inverse = rank[inverse]
-        first_index = first_index[order]
+        _, first_index, inverse = unique_by_first_appearance(code)
         shape_keys = [
             (int(sizes[i]), int(seq_len[i]), int(tgt_len[i]))
             for i in first_index.tolist()
@@ -289,12 +282,7 @@ class TrafficSimulator:
         for position, (key, result) in enumerate(zip(shape_keys, results)):
             cached = self._profile_of.get(key)
             if cached is None:
-                profile = IterationProfile(
-                    launches=result.launches,
-                    counters=result.counters,
-                    group_times=dict(result.group_times),
-                    kernel_names=result.kernel_names,
-                )
+                profile = result.profile()
                 cached = self._profile_of[key] = (
                     profile.dedup_key(), profile,
                 )

@@ -41,6 +41,7 @@ from repro.errors import TraceError
 from repro.hw.counters import CounterSet
 from repro.util.npt import ColumnStore, is_npt, write_columns
 from repro.util.serialize import dump_json, read_json
+from repro.util.stats import unique_by_first_appearance
 
 __all__ = [
     "IterationProfile",
@@ -772,13 +773,10 @@ def dedupe_shapes(
     order to stay bit-identical to the per-iteration path) and
     ``profile_id[i]`` maps iteration ``i`` onto its shape.
     """
-    shapes = np.stack([seq_len, tgt_len], axis=1)
-    _, first_index, inverse = np.unique(
-        shapes, axis=0, return_index=True, return_inverse=True
-    )
-    inverse = inverse.reshape(-1)
-    # np.unique sorts lexicographically; re-rank by first appearance.
-    appearance = np.argsort(first_index, kind="stable")
-    rank = np.empty(appearance.size, dtype=np.int64)
-    rank[appearance] = np.arange(appearance.size)
-    return first_index[appearance], rank[inverse]
+    # One packed int64 key per shape: injective, since tgt_len + 1
+    # (NO_TGT packs as 0) stays below its base.
+    tgt_shift = np.asarray(tgt_len, dtype=np.int64) + 1
+    base = int(tgt_shift.max(initial=0)) + 1
+    keys = np.asarray(seq_len, dtype=np.int64) * base + tgt_shift
+    _, first_iterations, profile_id = unique_by_first_appearance(keys)
+    return first_iterations, profile_id

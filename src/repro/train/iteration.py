@@ -12,27 +12,30 @@ for to the device's config in one step (both through the process-wide
 :data:`~repro.models.plan.PLAN_CACHE`, so equal shapes are lowered once
 per process and bound once per config, not once per executor), and
 times them with a single vectorized
-:meth:`~repro.hw.device.GpuDevice.run_batch` call.  The reductions
-replay a per-invocation walk's left-to-right accumulation, so each
-:class:`IterationResult` is bit-identical to lowering with the config
-and timing the merged schedule invocation by invocation — the oracle
-tests/test_plan_equivalence.py compares against across models, shapes,
-hardware configurations, and noise seeds.
+:meth:`~repro.hw.device.GpuDevice.run_batch` call.  Two
+:func:`~repro.util.stats.segmented_fold` calls over all of it then sum
+every plan's launch-scaled time and counters, and its kernel-group times,
+one row at a time onto each segment's seed: the IEEE adds, in the order, of
+a per-invocation walk, so each :class:`IterationResult` is bit-identical
+to lowering with the config and timing the merged schedule invocation by
+invocation — the oracle tests/test_plan_equivalence.py compares against
+across models, shapes, hardware configurations, and noise seeds.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from repro.hw.counters import CounterColumns, CounterSet
-from repro.hw.device import GpuDevice
+from repro.hw.counters import CounterSet
+from repro.hw.device import BatchMeasurement, GpuDevice
 from repro.hw.timing import WorkBatch
 from repro.models.plan import PLAN_CACHE, SchedulePlan, bind_plans, compile_plan
 from repro.models.spec import IterationInputs, Model
-from repro.util.stats import sequential_sum
+from repro.train.frame import IterationProfile
+from repro.util.stats import segmented_fold
 
 __all__ = ["IterationExecutor", "IterationResult"]
 
@@ -42,6 +45,8 @@ __all__ = ["IterationExecutor", "IterationResult"]
 #: the reason per-SL sensitivity curves (paper Figs 13/14) rise with SL.
 #: 25 ms matches TF1.x-era step overheads on these networks.
 DEFAULT_HOST_OVERHEAD_S = 25e-3
+
+_COUNTER_FIELDS = tuple(field.name for field in fields(CounterSet))
 
 
 @dataclass(frozen=True)
@@ -57,6 +62,16 @@ class IterationResult:
     kernel_names: frozenset[str]
     #: GEMM problem shapes, for autotune accounting.
     gemm_shapes: tuple[tuple[int, int, int], ...]
+
+    def profile(self) -> IterationProfile:
+        """A fresh profile of this result; ``group_times`` is copied so
+        a trace's profile pool cannot alias the executor's memo."""
+        return IterationProfile(
+            launches=self.launches,
+            counters=self.counters,
+            group_times=dict(self.group_times),
+            kernel_names=self.kernel_names,
+        )
 
 
 class IterationExecutor:
@@ -82,30 +97,48 @@ class IterationExecutor:
     def _key(self, inputs: IterationInputs) -> tuple[int, int, int | None]:
         return (inputs.batch, inputs.seq_len, inputs.tgt_len)
 
-    def _reduce_plan(
-        self,
-        plan: SchedulePlan,
-        time_s: np.ndarray,
-        counters: CounterColumns,
-    ) -> IterationResult:
-        """Fold one plan's per-kernel measurements into a result.
-
-        Every reduction is a left fold in merged-entry order (via
-        :func:`~repro.util.stats.sequential_sum`), replaying the scalar
-        loop's accumulation bit for bit.
-        """
-        contrib = time_s * plan.counts
-        group_times: dict[str, float] = {}
-        for gid, group in enumerate(plan.groups):
-            group_times[group] = sequential_sum(contrib[plan.group_id == gid])
-        return IterationResult(
-            time_s=sequential_sum(contrib, initial=self.host_overhead_s),
-            launches=int(plan.counts.sum()),
-            counters=counters.scaled(plan.counts).sum_sequential(),
-            group_times=group_times,
-            kernel_names=frozenset(plan.names),
-            gemm_shapes=plan.gemm_shapes,
+    def _reduce(
+        self, plans: Sequence[SchedulePlan], measurement: BatchMeasurement
+    ) -> list[IterationResult]:
+        """Every plan's result, folded from the measurement of their
+        stacked rows."""
+        rows = np.array([plan.counts.size for plan in plans])
+        plan_of_row = np.repeat(np.arange(len(plans)), rows)
+        counters = [getattr(measurement.counters, name) for name in _COUNTER_FIELDS]
+        columns = np.stack([measurement.time_s, *counters])
+        counts = np.concatenate([plan.counts for plan in plans])
+        columns *= counts
+        # Integer-valued float sums below 2**53 are exact.
+        launches = np.bincount(plan_of_row, weights=counts, minlength=len(plans))
+        initial = np.empty((len(columns), len(plans)))
+        initial[0] = self.host_overhead_s
+        # -0.0 is the identity of IEEE addition, so a plan's counters
+        # start at its first row as ``sum(rows)`` does, while a plan
+        # without rows keeps CounterSet.zero()'s +0.0.
+        initial[1:] = np.where(rows > 0, -0.0, 0.0)
+        totals = segmented_fold(columns, plan_of_row, initial).T.tolist()
+        groups = np.array([len(plan.groups) for plan in plans])
+        group_of_row = (np.cumsum(groups) - groups)[plan_of_row] + np.concatenate(
+            [plan.group_id for plan in plans]
         )
+        # Plan-major: each plan takes the next len(plan.groups) totals
+        # (zip stops at plan.groups without drawing one more).
+        group_times = iter(
+            segmented_fold(columns[0], group_of_row, np.zeros(groups.sum())).tolist()
+        )
+        return [
+            IterationResult(
+                time_s=time_s,
+                launches=launch_count,
+                counters=CounterSet(*counters),
+                group_times=dict(zip(plan.groups, group_times)),
+                kernel_names=frozenset(plan.names),
+                gemm_shapes=plan.gemm_shapes,
+            )
+            for plan, launch_count, (time_s, *counters) in zip(
+                plans, launches.astype(np.int64).tolist(), totals
+            )
+        ]
 
     def _lower(self, kind: str):
         return (
@@ -196,11 +229,12 @@ class IterationExecutor:
         Every shape missing from the memo gets its bound plan (see
         :meth:`_plans_for`: one bind for all of them), the missing
         plans' work columns are stacked with
-        :meth:`~repro.hw.timing.WorkBatch.concat`, and one
-        :meth:`~repro.hw.device.GpuDevice.run_batch` times them all.
-        The timing engine is purely row-wise and per-plan reductions
-        fold exactly the rows that plan contributed, so every result is
-        bit-identical to running its shape alone — asserted in
+        :meth:`~repro.hw.timing.WorkBatch.concat`, one
+        :meth:`~repro.hw.device.GpuDevice.run_batch` times them all, and
+        :meth:`_reduce` folds them all.  The timing engine is purely
+        row-wise and each segment of the folds covers exactly the rows
+        its plan contributed, so every result is bit-identical to
+        running its shape alone — asserted in
         ``tests/test_plan_equivalence.py``.  Shapes are processed in
         first-appearance order.
         """
@@ -221,13 +255,5 @@ class IterationExecutor:
                     WorkBatch.concat([plan.work for plan in plans]),
                     memoize=False,
                 )
-            offset = 0
-            for key, plan in zip(missing, plans):
-                upper = offset + len(plan)
-                memo[key] = self._reduce_plan(
-                    plan,
-                    measurement.time_s[offset:upper],
-                    measurement.counters.rows(offset, upper),
-                )
-                offset = upper
+            memo.update(zip(missing, self._reduce(plans, measurement)))
         return [memo[self._key(inputs)] for inputs in inputs_seq]

@@ -36,12 +36,7 @@ from repro.errors import ConfigurationError
 from repro.hw.device import GpuDevice
 from repro.kernels.autotune import Autotuner
 from repro.models.spec import IterationInputs, Model
-from repro.train.frame import (
-    NO_TGT,
-    IterationProfile,
-    TraceFrame,
-    dedupe_shapes,
-)
+from repro.train.frame import NO_TGT, TraceFrame, dedupe_shapes
 from repro.train.iteration import DEFAULT_HOST_OVERHEAD_S, IterationExecutor
 from repro.util.rng import derive_seed, make_rng
 
@@ -98,34 +93,16 @@ def memoized_shape_walk(
     """
     first_iterations, profile_id = dedupe_shapes(seq_len, tgt_len)
     shapes = [
-        IterationInputs(
-            batch=batch,
-            seq_len=int(seq_len[iteration]),
-            tgt_len=(
-                None
-                if tgt_len[iteration] == NO_TGT
-                else int(tgt_len[iteration])
-            ),
-        )
-        for iteration in first_iterations
+        IterationInputs(batch, int(seq_len[i]), None if tgt_len[i] == NO_TGT else int(tgt_len[i]))
+        for i in first_iterations.tolist()
     ]
-    base_time = np.empty(len(shapes), dtype=np.float64)
-    profiles: list[IterationProfile] = []
-    for inputs, result in zip(shapes, run(shapes)):
-        if on_result is not None:
+    results = run(shapes)
+    if on_result is not None:
+        for inputs, result in zip(shapes, results):
             on_result(inputs, result)
-        base_time[len(profiles)] = result.time_s
-        profiles.append(
-            IterationProfile(
-                launches=result.launches,
-                counters=result.counters,
-                # Copy: the executor memoises results, and the profile
-                # pool must not alias its cache.
-                group_times=dict(result.group_times),
-                kernel_names=result.kernel_names,
-            )
-        )
-    return base_time[profile_id], profile_id, tuple(profiles)
+    base_time = np.array([result.time_s for result in results], dtype=np.float64)
+    profiles = tuple(result.profile() for result in results)
+    return base_time[profile_id], profile_id, profiles
 
 
 class TrainingRunSimulator:

@@ -20,24 +20,62 @@ __all__ = [
     "mean",
     "median",
     "percent_error",
-    "sequential_sum",
+    "segmented_fold",
+    "unique_by_first_appearance",
 ]
 
 
-def sequential_sum(values: np.ndarray, initial: float = 0.0) -> float:
-    """Strict left-to-right float64 sum: ``((initial + v0) + v1) + ...``.
+def segmented_fold(
+    values: np.ndarray, segment_ids: np.ndarray, initial: np.ndarray
+) -> np.ndarray:
+    """Left fold of every segment of ``values``'s last axis at once.
 
-    ``np.sum`` uses pairwise summation, which groups additions
-    differently from an accumulator loop and so produces different
-    low-order bits.  The batched simulation paths must reproduce the
-    scalar reference's Python accumulation exactly, and ``np.cumsum``
-    is a running (left-fold) accumulation, so its last element is the
-    loop's result bit for bit.
+    Segment ``s`` is the rows whose ``segment_ids`` entry is ``s``; its
+    result is ``((initial[..., s] + v0) + v1) + ...`` in row order.
+    Pairwise sums (``np.sum``, ``reduceat``) and prefix-sum differences
+    round differently, so step ``k`` adds the ``k``-th value of every
+    segment that has one: the IEEE adds, in the order, of folding each
+    segment alone.  Segments are ranked longest first and the values
+    laid out step-major, so each step is one in-place add of two slices
+    and temporaries stay O(rows + segments).
     """
-    values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
-        return float(initial)
-    return float(np.cumsum(np.concatenate(((initial,), values)))[-1])
+    segment_ids = np.asarray(segment_ids, dtype=np.int64)
+    lengths = np.bincount(segment_ids, minlength=np.shape(initial)[-1])
+    by_length = np.argsort(-lengths, kind="stable")
+    rank = np.empty_like(by_length)
+    rank[by_length] = np.arange(by_length.size)
+    # Step k adds the live[k] longest segments' k-th values, which sit
+    # at step_start[k] onwards in the step-major layout.
+    live = lengths.size - np.cumsum(np.bincount(lengths))[:-1]
+    step_start = np.cumsum(live) - live
+    in_segment_order = np.argsort(segment_ids, kind="stable")
+    sorted_ids = segment_ids[in_segment_order]
+    step = np.arange(sorted_ids.size) - (np.cumsum(lengths) - lengths)[sorted_ids]
+    layout = np.empty_like(in_segment_order)
+    layout[step_start[step] + rank[sorted_ids]] = in_segment_order
+    steps = np.asarray(values, dtype=np.float64)[..., layout]
+    acc = np.asarray(initial, dtype=np.float64)[..., by_length]
+    for start, count in zip(step_start.tolist(), live.tolist()):
+        acc[..., :count] += steps[..., start : start + count]
+    folded = np.empty_like(acc)
+    folded[..., by_length] = acc
+    return folded
+
+
+def unique_by_first_appearance(
+    keys: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``np.unique`` of a key column, ranked by first appearance.
+
+    Returns ``(uniques, first, inverse)``: the distinct keys in the
+    order they first occur, the row where each first occurs
+    (ascending), and each row's index into ``uniques``.
+    """
+    unique, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return unique[order], first[order], rank[inverse.reshape(-1)]
 
 
 def weighted_sum(values: Sequence[float], weights: Sequence[float]) -> float:

@@ -2,11 +2,12 @@
 checked against.
 
 Each layer of ``repro`` ships one path: batched lowering and timing,
-shape-memoized epochs, column-wise batch formation, shape-memoized
-serving, length-column corpora.  The per-invocation, per-iteration,
-per-request, per-batch and per-sample loops those paths replaced live
-here, unchanged in substance, as the ground truth of the bit-identity
-tests and the baseline of the speedup benches (``benchmarks/`` put
+one segmented fold per executor call, shape-memoized epochs,
+column-wise batch formation, shape-memoized serving, length-column
+corpora.  The per-invocation, per-plan, per-iteration, per-request,
+per-batch and per-sample loops those paths replaced live here,
+unchanged in substance, as the ground truth of the bit-identity tests
+and the baseline of the speedup benches (``benchmarks/`` put
 ``tests/`` on ``sys.path`` to import them).
 """
 
@@ -17,6 +18,7 @@ from .kernels import (
     charge_reference,
     select_reference,
 )
+from .reduction import reduce_plan, reduce_plans, sequential_sum
 from .traffic import form_batches_scalar, serve_scalar
 from .train import (
     ScalarExecutor,
@@ -35,11 +37,14 @@ __all__ = [
     "charge_reference",
     "epoch_records_reference",
     "form_batches_scalar",
+    "reduce_plan",
+    "reduce_plans",
     "run_epoch_reference",
     "run_pass_reference",
     "save_v1",
     "scalar_pipeline",
     "select_reference",
+    "sequential_sum",
     "serve_scalar",
     "split_samples",
 ]

@@ -9,6 +9,7 @@ from repro.api.spec import AnalysisSpec
 from repro.errors import ReproError
 from repro.serve.metrics import LatencyHistogram, MetricsRegistry, percentile
 from repro.serve.protocol import JobRequest, NotFoundError
+import repro.serve.queue as queue_module
 from repro.serve.queue import JOB_STATES, JobCancelled, JobQueue
 
 
@@ -159,6 +160,70 @@ class TestDepthAndClose:
         assert set(snapshot["states"]) == set(JOB_STATES)
         assert snapshot["states"]["done"] == 1
         assert snapshot["states"]["queued"] == 1
+
+
+class TestTerminalJobBound:
+    """A long-lived queue forgets its oldest terminal jobs past the
+    bound, and never a queued or running one."""
+
+    BOUND = 8
+
+    @pytest.fixture(autouse=True)
+    def small_bound(self, monkeypatch):
+        monkeypatch.setattr(queue_module, "_MAX_TERMINAL_JOBS", self.BOUND)
+
+    def test_soak_levels_off_at_the_bound(self):
+        queue = JobQueue()
+        running = queue.submit(request())
+        assert queue.next_job(timeout=0.1) is running
+        finished: list[str] = []
+        queued = None
+        for i in range(300):
+            if i == 150:
+                queued = queue.submit(request())
+            job = queue.submit(request())
+            if queued is not None or i % 3 == 0:
+                queue.cancel(job.id)  # cancelled while queued
+            else:
+                assert queue.next_job(timeout=0.1) is job
+                if i % 3 == 1:
+                    queue.finish(job, {"i": i})
+                else:
+                    queue.fail(job, ReproError("boom"))
+            finished.append(job.id)
+            live = 1 + (queued is not None)
+            assert len(queue.jobs()) == min(len(finished), self.BOUND) + live
+        snapshot = queue.snapshot()
+        assert snapshot["evicted"] == 300 - self.BOUND
+        assert snapshot["jobs"] == self.BOUND + 2
+        assert snapshot["states"]["running"] == 1
+        assert snapshot["states"]["queued"] == 1
+        assert queue.get(running.id) is running
+        assert queue.get(queued.id) is queued
+        assert [job.id for job in queue.jobs()] == sorted(
+            [running.id, queued.id, *finished[-self.BOUND :]],
+            key=lambda job_id: int(job_id.split("-")[1]),
+        )
+        for job_id in finished[: -self.BOUND]:
+            with pytest.raises(NotFoundError):
+                queue.get(job_id)
+
+    def test_oldest_finished_goes_first(self):
+        queue = JobQueue()
+        jobs = [queue.submit(request()) for _ in range(self.BOUND + 1)]
+        # Finish in reverse submission order: the newest job finished
+        # first, so it is the one evicted.
+        for job in jobs:
+            assert queue.next_job(timeout=0.1) is job
+        for job in reversed(jobs):
+            queue.finish(job, {})
+        assert queue.snapshot()["evicted"] == 1
+        with pytest.raises(NotFoundError):
+            queue.get(jobs[-1].id)
+        assert queue.get(jobs[0].id) is jobs[0]
+
+    def test_snapshot_starts_with_nothing_evicted(self):
+        assert JobQueue().snapshot()["evicted"] == 0
 
 
 class TestPercentile:

@@ -22,6 +22,7 @@ from repro.api.registry import SELECTORS
 from repro.api.spec import AnalysisSpec
 from repro.core.seqpoint import SeqPointSelector
 from repro.errors import ConfigurationError
+import repro.serve.queue as queue_module
 from repro.serve import ReproServer, ServeApp
 from repro.stream.spec import StreamSpec
 
@@ -330,6 +331,31 @@ class TestStatsAndEviction:
         finally:
             app.close()
 
+    def test_evicted_jobs_are_a_one_line_404(self, monkeypatch):
+        monkeypatch.setattr(queue_module, "_MAX_TERMINAL_JOBS", 8)
+        # Never started: submitted jobs stay queued until cancelled.
+        app = ServeApp(AnalysisEngine(cache=TraceCache()), workers=1)
+        try:
+            for _ in range(12):
+                _, envelope, _ = app.handle(
+                    "POST", "/jobs", {"kind": "analyze", "spec": ANALYSIS.to_dict()}
+                )
+                status, _, _ = app.handle(
+                    "POST", f"/jobs/{envelope['job']['id']}/cancel"
+                )
+                assert status == 200
+            status, envelope, endpoint = app.handle("GET", "/jobs/job-1")
+            assert (status, endpoint) == (404, "GET /jobs/<id>")
+            assert envelope["error"] == {
+                "type": "NotFoundError", "message": "no such job: job-1"
+            }
+            assert app.handle("GET", "/jobs/job-5")[0] == 200
+            _, envelope, _ = app.handle("GET", "/stats")
+            assert envelope["queue"]["evicted"] == 4
+            assert envelope["queue"]["jobs"] == 8
+        finally:
+            app.close()
+
     def test_stats_shape(self, app):
         _, envelope, _ = app.handle(
             "POST", "/jobs", {"kind": "analyze", "spec": ANALYSIS.to_dict()}
@@ -344,6 +370,7 @@ class TestStatsAndEviction:
         )
         queue = envelope["queue"]
         assert queue["jobs"] == 1
+        assert queue["evicted"] == 0
         assert queue["states"]["done"] == 1
         assert envelope["sessions"]["open"] == 0
 

@@ -54,3 +54,13 @@ class TestIterationExecutor:
     def test_negative_overhead_rejected(self, device1):
         with pytest.raises(ValueError):
             IterationExecutor(build_ds2(), device1, host_overhead_s=-1.0)
+
+    def test_profile_is_a_fresh_copy(self, device1):
+        result = IterationExecutor(build_ds2(), device1).run(IterationInputs(64, 100))
+        profile = result.profile()
+        assert profile.launches == result.launches
+        assert profile.counters == result.counters
+        assert profile.kernel_names == result.kernel_names
+        assert profile.group_times == result.group_times
+        assert profile.group_times is not result.group_times
+        assert result.profile() is not profile

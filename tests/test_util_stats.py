@@ -2,16 +2,58 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.train.frame import NO_TGT, dedupe_shapes
 from repro.util.stats import (
     geomean,
     mean,
     median,
     percent_error,
+    unique_by_first_appearance,
     weighted_average,
     weighted_sum,
 )
+
+
+def _first_appearance_loop(keys):
+    """The dict loop the helper vectorizes."""
+    ids: dict = {}
+    first, inverse = [], []
+    for row, key in enumerate(keys):
+        if key not in ids:
+            ids[key] = len(ids)
+            first.append(row)
+        inverse.append(ids[key])
+    return list(ids), first, inverse
+
+
+class TestUniqueByFirstAppearance:
+    @given(st.lists(st.integers(-50, 50), max_size=60))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_dict_loop(self, keys):
+        unique, first, inverse = unique_by_first_appearance(
+            np.array(keys, dtype=np.int64)
+        )
+        assert (unique.tolist(), first.tolist(), inverse.tolist()) == (
+            _first_appearance_loop(keys)
+        )
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 900), st.sampled_from([NO_TGT, 1, 2, 7, 899])),
+            max_size=60,
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_dedupe_shapes_matches_dict_loop(self, shapes):
+        seq_len = np.array([s for s, _ in shapes], dtype=np.int64)
+        tgt_len = np.array([t for _, t in shapes], dtype=np.int64)
+        first, profile_id = dedupe_shapes(seq_len, tgt_len)
+        _, expected_first, expected_ids = _first_appearance_loop(shapes)
+        assert (first.tolist(), profile_id.tolist()) == (expected_first, expected_ids)
 
 
 class TestWeightedSum:
