@@ -39,7 +39,7 @@ __all__ = [
 _LATENCY_HIDING_WAVES = 4.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComputeProfile:
     """Compute behaviour of one kernel invocation."""
 

@@ -40,6 +40,7 @@ from repro.hw.config import HardwareConfig
 from repro.hw.counters import CounterColumns, CounterSet
 
 __all__ = [
+    "HashSlot",
     "WorkProfile",
     "WorkBatch",
     "TimingBreakdown",
@@ -52,8 +53,22 @@ __all__ = [
 _INFLIGHT_BYTES_PER_WAVE = 128.0
 
 
-@dataclass(frozen=True)
-class WorkProfile:
+class HashSlot:
+    """Base of frozen slotted records that cache their hash in a slot.
+
+    Its one ``_hash`` slot is not a dataclass field, so the pickle state
+    of a ``frozen=True, slots=True`` subclass (its field values) never
+    carries the cached value: string hashes are salted per process.
+    Slots, not instance dicts, because lowering keeps tens of thousands
+    of these records alive and every dict is one more object each full
+    garbage collection walks.
+    """
+
+    __slots__ = ("_hash",)
+
+
+@dataclass(frozen=True, slots=True)
+class WorkProfile(HashSlot):
     """Complete hardware-facing description of one kernel invocation."""
 
     compute: ComputeProfile
@@ -64,17 +79,12 @@ class WorkProfile:
         # hash re-hashes both nested profiles (14 fields) on every
         # lookup.  Cache it — instances are frozen.  Matches the
         # generated hash: the tuple of all fields.
-        cached = self.__dict__.get("_hash")
-        if cached is None:
+        try:
+            return self._hash
+        except AttributeError:
             cached = hash((self.compute, self.traffic))
             object.__setattr__(self, "_hash", cached)
-        return cached
-
-    def __getstate__(self):
-        # Hash salting is per process: drop the cache when pickled.
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
+            return cached
 
 
 @dataclass(frozen=True, eq=False)

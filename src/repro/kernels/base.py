@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from repro.hw.cache import TrafficProfile
 from repro.hw.compute import ComputeProfile
-from repro.hw.timing import WorkProfile
+from repro.hw.timing import HashSlot, WorkProfile
 
 __all__ = ["KernelInvocation", "make_invocation", "FLOAT_BYTES"]
 
@@ -27,8 +27,8 @@ __all__ = ["KernelInvocation", "make_invocation", "FLOAT_BYTES"]
 FLOAT_BYTES = 4
 
 
-@dataclass(frozen=True)
-class KernelInvocation:
+@dataclass(frozen=True, slots=True)
+class KernelInvocation(HashSlot):
     """One kernel launch as seen by a profiler."""
 
     name: str
@@ -45,19 +45,14 @@ class KernelInvocation:
         # Schedules merge and plans compile by invocation equality, and
         # the generated dataclass hash re-hashes three nested profile
         # dataclasses on every lookup — cache it per (frozen) instance.
-        # Matches the generated hash: the tuple of all fields.
-        cached = self.__dict__.get("_hash")
-        if cached is None:
+        # Matches the generated hash: the tuple of all fields.  The slot
+        # stays out of pickles (see HashSlot), so sweep workers rehash.
+        try:
+            return self._hash
+        except AttributeError:
             cached = hash((self.name, self.op, self.group, self.shape, self.work))
             object.__setattr__(self, "_hash", cached)
-        return cached
-
-    def __getstate__(self):
-        # String hashes are salted per process: never ship a cached
-        # hash through pickle (e.g. to sweep workers).
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
+            return cached
 
     def __repr__(self) -> str:
         dims = "x".join(str(d) for d in self.shape)

@@ -19,11 +19,15 @@ same information compiled once into parallel numpy columns:
 
 Lowering comes in two layers.  The *structural* layer is a pure
 function of (model, pass, shape): lowering with ``config=None`` leaves
-every GEMM as a config-free request, and :func:`compile_plan` turns
-that into a :class:`StructuralPlan`.  The *hardware* layer is
-:func:`bind_plans`, which picks every GEMM's variant for one config —
-for all of an epoch's new shapes in one vectorized race — and yields
-the :class:`SchedulePlan` the device times.  Binding a structural plan
+every GEMM as a config-free request, and :func:`compile_plans` turns
+the schedules of all of an executor call's new shapes into
+:class:`StructuralPlan` objects in one vectorized pass.  It streams
+them: each schedule shrinks to integer columns before the next is
+lowered, so a call never holds them all.  :func:`compile_plan` is that
+pass for one schedule.  The *hardware* layer is :func:`bind_plans`,
+which picks every GEMM's variant for one config — for all of an
+epoch's new shapes in one vectorized race — and yields the
+:class:`SchedulePlan` the device times.  Binding a structural plan
 gives, field for field, the plan compiled from a schedule lowered with
 that config (asserted in tests/test_plan_bind.py).
 
@@ -46,8 +50,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from threading import Lock
 from typing import Any
@@ -74,6 +79,7 @@ __all__ = [
     "SchedulePlan",
     "StructuralPlan",
     "compile_plan",
+    "compile_plans",
     "bind",
     "bind_plans",
     "PlanCache",
@@ -163,120 +169,177 @@ class StructuralPlan:
 
 
 def compile_plan(schedule: KernelSchedule) -> SchedulePlan | StructuralPlan:
-    """Compile a lowered schedule into its frozen columnar plan.
+    """Compile one lowered schedule: :func:`compile_plans` of one."""
+    return compile_plans([schedule])[0]
+
+
+def compile_plans(
+    schedules: Iterable[KernelSchedule],
+) -> list[SchedulePlan | StructuralPlan]:
+    """Compile many lowered schedules into their frozen columnar plans.
 
     A schedule lowered with a hardware config compiles to a
     :class:`SchedulePlan`; one lowered without (``config=None``, so its
     GEMMs are :class:`~repro.kernels.gemm.GemmRequest` rows) compiles to
     a :class:`StructuralPlan` for :func:`bind` to finish per config.
 
-    Merging runs in two passes: a vectorized pre-merge keyed on object
-    *identity* (kernel constructors are memoised, so repeated launches
-    of one kernel are almost always the same object — no hashing of
-    nested dataclasses, and the per-entry work is numpy grouping), then
-    an equality merge over the few surviving distinct objects.
-    First-appearance order is preserved through both and integer counts
-    add associatively, so the result coalesces exactly like
-    :meth:`KernelSchedule.merged`.  The merge is the same for both plan
+    ``schedules`` is streamed: each schedule shrinks to two integer
+    columns (the identity of each entry's invocation, and its count)
+    before the next one is drawn, so a generator that lowers on demand
+    never has two schedules alive.  Then one vectorized pass compiles
+    every plan of the call:
+
+    * merging keys each entry on (plan, equality class of its object).
+      Kernel constructors are memoised, so repeated launches of one
+      kernel are almost always the same object; the equality merge
+      hashes each distinct object once per call, not once per plan.
+      One first-appearance ``unique`` orders the rows and one
+      ``bincount`` sums their counts — integer counts add
+      associatively, so every plan coalesces exactly like
+      :meth:`KernelSchedule.merged`;
+    * kernel rows take their work from one
+      :meth:`~repro.hw.timing.WorkBatch.from_profiles` over the call's
+      distinct invocations; GEMM request rows take the columns their
+      dims fix from one :func:`~repro.kernels.gemm.gemm_work`, and
+      zeros where the variant decides;
+    * groups and kernel names are interned per plan by :func:`_intern`.
+
+    Every row's values are those of the first invocation of its plan
+    that the row merges, so the plans equal, bit for bit, compiling
+    each schedule alone (the per-schedule reference in
+    ``tests/oracles/plan.py``).  The merge is the same for both plan
     kinds: on any one config a GEMM request is fixed by its group and
     dims, and so is the invocation it binds to.
     """
-    entries = list(schedule)
-    n = len(entries)
-    invocations = [entry[0] for entry in entries]
-    id_column = np.fromiter(map(id, invocations), np.int64, n)
-    count_column = np.fromiter((entry[1] for entry in entries), np.int64, n)
+    # id -> invocation, in first-appearance order.  Holding each object
+    # keeps its id from being reused by a later one once its schedule
+    # is dropped.
+    objects: dict[int, Any] = {}
+    entry_ids: list[int] = []
+    entry_counts: list[int] = []
+    sizes: list[int] = []
+    for schedule in schedules:
+        invocations = [entry[0] for entry in schedule]
+        entry_counts.extend([entry[1] for entry in schedule])
+        del schedule  # dropped before the next one is lowered
+        ids = list(map(id, invocations))
+        objects.update(zip(ids, invocations))
+        entry_ids.extend(ids)
+        sizes.append(len(ids))
+    plans = len(sizes)
+    if not plans:
+        return []
 
-    # Group by identity, ranked by first appearance.
-    _, first_index, object_row = unique_by_first_appearance(id_column)
+    # The dict's keys are the distinct ids in first-appearance order.
+    distinct = list(objects.values())
+    ids = np.fromiter(objects, np.int64, len(distinct))
+    by_id = np.argsort(ids)
+    object_of_entry = by_id[
+        np.searchsorted(ids, np.array(entry_ids, dtype=np.int64), sorter=by_id)
+    ]
+    del objects, entry_ids
+    # Equality classes of the distinct objects (equal-but-distinct
+    # objects are rare), then rows: one per (plan, class), plan-major.
+    class_of, classes = _tokens(distinct)
+    plan_of_entry = np.repeat(np.arange(plans), sizes)
+    _, first_entry, row_of_entry = unique_by_first_appearance(
+        plan_of_entry * len(classes) + class_of[object_of_entry]
+    )
+    # Each row keeps its plan's first object of the class.
+    object_of_row = object_of_entry[first_entry]
+    plan_of_row = plan_of_entry[first_entry]
     # Integer-valued float sums below 2**53 are exact.
-    object_counts = np.bincount(
-        object_row, weights=count_column, minlength=first_index.size
+    counts = np.bincount(
+        row_of_entry,
+        weights=np.array(entry_counts, dtype=np.int64),
+        minlength=first_entry.size,
     ).astype(np.int64)
-    unique_invocations = [invocations[i] for i in first_index.tolist()]
+    row_starts = np.concatenate(
+        ([0], np.cumsum(np.bincount(plan_of_row, minlength=plans)))
+    ).tolist()
 
-    # Equality merge across distinct-but-equal objects (rare).
-    totals: dict = {}
-    rows: list = []
-    row_counts: list[int] = []
-    for position, invocation in enumerate(unique_invocations):
-        row = totals.get(invocation)
-        if row is None:
-            totals[invocation] = len(rows)
-            rows.append(invocation)
-            row_counts.append(int(object_counts[position]))
-        else:
-            row_counts[row] += int(object_counts[position])
+    group_of, group_names = _tokens([inv.group for inv in distinct])
+    name_of, kernel_names = _tokens([inv.name for inv in distinct])
+    is_request = np.array(
+        [isinstance(inv, GemmRequest) for inv in distinct], dtype=np.bool_
+    )
+    is_gemm = np.array([inv.op == "gemm" for inv in distinct], dtype=np.bool_)
+    group_id, plan_groups = _intern(plan_of_row, group_of[object_of_row], plans)
+    kernel_rows = np.flatnonzero(~is_request[object_of_row])
+    name_id = np.full(first_entry.size, -1, dtype=np.int64)
+    name_id[kernel_rows], plan_names = _intern(
+        plan_of_row[kernel_rows], name_of[object_of_row[kernel_rows]], plans
+    )
+
+    # Kernel objects carry their work; GEMM requests carry the columns
+    # their dims fix, and zeros where the variant decides.  Rows copy
+    # their object's columns.
+    kernel_objects = np.flatnonzero(~is_request)
+    request_objects = np.flatnonzero(is_request)
+    kernels = WorkBatch.from_profiles(
+        [distinct[i].work for i in kernel_objects.tolist()]
+    )
+    dims = np.fromiter(
+        chain.from_iterable(distinct[i].shape for i in request_objects.tolist()),
+        np.int64,
+    ).reshape(-1, 3)
+    fixed = gemm_work(
+        dims[:, 0], dims[:, 1], dims[:, 2], np.zeros(len(dims), dtype=np.int64)
+    )
+    object_work = np.zeros((len(_WORK_COLUMNS), len(distinct)))
+    for position, name in enumerate(_WORK_COLUMNS):
+        object_work[position, kernel_objects] = getattr(kernels, name)
+        if name not in GEMM_VARIANT_COLUMNS:
+            object_work[position, request_objects] = getattr(fixed, name)
+    table = object_work[:, object_of_row]
+    request_rows = np.flatnonzero(is_request[object_of_row])
+    # Each request row's index among the request objects.
+    gemm_dims = dims[(np.cumsum(is_request) - 1)[object_of_row[request_rows]]]
+    gemm_rows = request_rows - np.take(row_starts, plan_of_row[request_rows])
+    request_starts = np.concatenate(
+        ([0], np.cumsum(np.bincount(plan_of_row[request_rows], minlength=plans)))
+    ).tolist()
 
     # GEMM dims in launch order: a gemm invocation's shape IS (m, n, k).
-    is_gemm = np.fromiter(
-        (inv.op == "gemm" for inv in unique_invocations),
-        np.bool_,
-        len(unique_invocations),
-    )
-    shapes = [inv.shape for inv in unique_invocations]
-    gemm_entries = np.flatnonzero(is_gemm[object_row])
-    gemm_shapes = tuple(
-        shapes[position] for position in object_row[gemm_entries].tolist()
-    )
+    gemm_entries = np.flatnonzero(is_gemm[object_of_entry])
+    shapes = [inv.shape for inv in distinct]
+    launch_shapes = [shapes[i] for i in object_of_entry[gemm_entries].tolist()]
+    launch_starts = np.concatenate(
+        ([0], np.cumsum(np.bincount(plan_of_entry[gemm_entries], minlength=plans)))
+    ).tolist()
 
-    group_table: dict[str, int] = {}
-    name_table: dict[str, int] = {}
-    group_id = np.empty(len(rows), dtype=np.int64)
-    name_id = np.full(len(rows), -1, dtype=np.int64)
-    requests: list[int] = []
-    for row, invocation in enumerate(rows):
-        group_id[row] = group_table.setdefault(
-            invocation.group, len(group_table)
+    compiled: list[SchedulePlan | StructuralPlan] = []
+    for j in range(plans):
+        lo, hi = row_starts[j], row_starts[j + 1]
+        fields = dict(
+            work=WorkBatch(*table[:, lo:hi]),
+            counts=counts[lo:hi],
+            group_id=group_id[lo:hi],
+            name_id=name_id[lo:hi],
+            groups=tuple(group_names[token] for token in plan_groups[j]),
+            names=tuple(kernel_names[token] for token in plan_names[j]),
+            gemm_shapes=tuple(launch_shapes[launch_starts[j] : launch_starts[j + 1]]),
         )
-        if isinstance(invocation, GemmRequest):
-            requests.append(row)
+        first, last = request_starts[j], request_starts[j + 1]
+        if first == last:
+            compiled.append(SchedulePlan(**fields))
         else:
-            name_id[row] = name_table.setdefault(
-                invocation.name, len(name_table)
+            compiled.append(
+                StructuralPlan(
+                    **fields,
+                    gemm_rows=gemm_rows[first:last],
+                    gemm_dims=gemm_dims[first:last],
+                )
             )
-    counts = np.array(row_counts, dtype=np.int64)
-    if not requests:
-        return SchedulePlan(
-            work=WorkBatch.from_profiles([inv.work for inv in rows]),
-            counts=counts,
-            group_id=group_id,
-            name_id=name_id,
-            groups=tuple(group_table),
-            names=tuple(name_table),
-            gemm_shapes=gemm_shapes,
-        )
+    return compiled
 
-    # Structural: kernel rows carry their work; GEMM rows carry the
-    # columns their dims fix, and zeros where the variant decides.
-    gemm_rows = np.array(requests, dtype=np.int64)
-    gemm_dims = np.array(
-        [rows[row].shape for row in requests], dtype=np.int64
-    ).reshape(-1, 3)
-    kernel_rows = np.flatnonzero(name_id >= 0)
-    table = np.zeros((len(_WORK_COLUMNS), len(rows)))
-    kernels = WorkBatch.from_profiles(
-        [rows[row].work for row in kernel_rows.tolist()]
-    )
-    fixed = gemm_work(
-        gemm_dims[:, 0], gemm_dims[:, 1], gemm_dims[:, 2],
-        np.zeros(len(requests), dtype=np.int64),
-    )
-    for position, name in enumerate(_WORK_COLUMNS):
-        table[position, kernel_rows] = getattr(kernels, name)
-        if name not in GEMM_VARIANT_COLUMNS:
-            table[position, gemm_rows] = getattr(fixed, name)
-    return StructuralPlan(
-        work=WorkBatch(**dict(zip(_WORK_COLUMNS, table))),
-        counts=counts,
-        group_id=group_id,
-        name_id=name_id,
-        groups=tuple(group_table),
-        names=tuple(name_table),
-        gemm_shapes=gemm_shapes,
-        gemm_rows=gemm_rows,
-        gemm_dims=gemm_dims,
-    )
+
+def _tokens(values: list) -> tuple[np.ndarray, list]:
+    """Each value's index among the distinct values, and those values,
+    in first-appearance order (equal values share one token)."""
+    table: dict = {}
+    tokens = [table.setdefault(value, len(table)) for value in values]
+    return np.array(tokens, dtype=np.int64), list(table)
 
 
 def _intern(
@@ -289,7 +352,7 @@ def _intern(
     table as a list of tokens — what a per-plan
     ``table.setdefault(token, len(table))`` loop over the rows builds.
     """
-    width = int(tokens.max()) + 1
+    width = int(tokens.max(initial=0)) + 1
     # Rows of earlier plans come first, so first-appearance order is
     # plan order, then first appearance within the plan.
     unique, _, inverse = unique_by_first_appearance(plan_of_row * width + tokens)
@@ -537,12 +600,13 @@ class PlanStore:
 class PlanCache:
     """Process-wide store of compiled plans, with hit/miss counters.
 
-    Thread-safe; compilation happens under the lock so every caller of
-    one key observes the *same* plan object (identity matters — the
-    device's batch-measurement memo keys on it).  Compiles are pure and
-    GIL-bound, so holding the lock costs no parallelism.  Bound plans
-    are built outside the lock, many at a time, and :meth:`publish`
-    keeps the first one published under a key.
+    Thread-safe.  Plans are built outside the lock — a build may lower
+    and compile, or wait on another process's file lock in the
+    :class:`PlanStore` — and :meth:`publish` keeps the first plan
+    published under a key, so every caller of one key observes the
+    *same* plan object (identity matters — the device's
+    batch-measurement memo keys on it) while lookups of other keys never
+    wait behind a build.
 
     ``hits`` counts lookups answered from memory; ``misses`` counts
     compiles, so a shape that is lowered once and bound to five configs
@@ -587,21 +651,54 @@ class PlanCache:
         across processes.  ``fingerprint`` may be a callable, called
         only on such a miss: hits never pay for building it.
         """
-        with self._lock:
-            plan = self._plans.get(key)
-            if plan is not None:
-                self._hits += 1
-                return plan
-            self._misses += 1
-            store = self._store
-            if store is not None and callable(fingerprint):
-                fingerprint = fingerprint()
-            if store is not None and fingerprint is not None:
-                plan = store.get_or_compute(fingerprint, build)
-            else:
-                plan = build()
-            self._plans[key] = plan
+        plan = self.lookup(key)
+        if plan is not None:
             return plan
+        store = self._store
+        if store is not None and callable(fingerprint):
+            fingerprint = fingerprint()
+        if store is not None and fingerprint is not None:
+            plan = store.get_or_compute(fingerprint, build)
+        else:
+            plan = build()
+        with self._lock:
+            self._misses += 1
+            return self._plans.setdefault(key, plan)
+
+    def get_or_compile_many(
+        self,
+        keys: Sequence[tuple],
+        lower: Callable[[tuple], KernelSchedule],
+        fingerprint: Callable[[tuple], Mapping[str, Any] | None],
+    ) -> list[Plan]:
+        """The plans under ``keys``, compiling every miss in one
+        :func:`compile_plans` call.
+
+        ``lower(key)`` lowers one missing key; the misses are lowered
+        one at a time as :func:`compile_plans` consumes them.  With a
+        store attached each miss instead goes key by key through
+        :meth:`get_or_compile`, whose per-key file lock keeps one
+        lowering machine-wide.
+        """
+        plans = [self.lookup(key) for key in keys]
+        missing = [i for i, plan in enumerate(plans) if plan is None]
+        if not missing:
+            return plans
+        if self._store is not None:
+            for i in missing:
+                key = keys[i]
+                plans[i] = self.get_or_compile(
+                    key,
+                    lambda key=key: compile_plans([lower(key)])[0],
+                    lambda key=key: fingerprint(key),
+                )
+            return plans
+        compiled = compile_plans(lower(keys[i]) for i in missing)
+        with self._lock:
+            self._misses += len(missing)
+            for i, plan in zip(missing, compiled):
+                plans[i] = self._plans.setdefault(keys[i], plan)
+        return plans
 
     def lookup(self, key: tuple) -> Plan | None:
         """The plan under ``key`` (a hit), or ``None`` without counting."""

@@ -6,12 +6,14 @@ whole epoch only pays lowering cost once per unique (seq_len, tgt_len)
 pair — that is what makes full-epoch simulation cheap enough to treat
 as ground truth.
 
-Measurement lowers each shape once without a hardware config into a
-structural plan, binds the GEMM variants of all the shapes it is asked
-for to the device's config in one step (both through the process-wide
-:data:`~repro.models.plan.PLAN_CACHE`, so equal shapes are lowered once
-per process and bound once per config, not once per executor), and
-times them with a single vectorized
+Measurement lowers each shape once without a hardware config: the new
+shapes of one call are lowered one at a time into a single streamed
+:func:`~repro.models.plan.compile_plans` call that yields their
+structural plans.  It binds the GEMM variants of all the shapes it is
+asked for to the device's config in one step (both through the
+process-wide :data:`~repro.models.plan.PLAN_CACHE`, so equal shapes are
+lowered once per process and bound once per config, not once per
+executor), and times them with a single vectorized
 :meth:`~repro.hw.device.GpuDevice.run_batch` call.  Two
 :func:`~repro.util.stats.segmented_fold` calls over all of it then sum
 every plan's launch-scaled time and counters, and its kernel-group times,
@@ -32,7 +34,7 @@ import numpy as np
 from repro.hw.counters import CounterSet
 from repro.hw.device import BatchMeasurement, GpuDevice
 from repro.hw.timing import WorkBatch
-from repro.models.plan import PLAN_CACHE, SchedulePlan, bind_plans, compile_plan
+from repro.models.plan import PLAN_CACHE, SchedulePlan, bind_plans
 from repro.models.spec import IterationInputs, Model
 from repro.train.frame import IterationProfile
 from repro.util.stats import segmented_fold
@@ -163,24 +165,17 @@ class IterationExecutor:
             "tgt_len": inputs.tgt_len,
         }
 
-    def _structural_plan(self, key: tuple, inputs: IterationInputs, kind: str):
-        """This shape's config-free plan, lowered once per process (once
-        per machine with a store attached).  The fingerprint is built
-        only on a memory miss with a store attached."""
-        return PLAN_CACHE.get_or_compile(
-            key,
-            lambda: compile_plan(self._lower(kind)(inputs, None)),
-            fingerprint=lambda: self._fingerprint(kind, inputs),
-        )
-
     def _plans_for(
         self, inputs_seq: Sequence[IterationInputs], kind: str
     ) -> list[SchedulePlan]:
         """These shapes' plans bound to this device's config.
 
-        Bound plans come from the process-wide cache; the rest get their
-        structural plans (shared by every config) and are bound together
-        in one :func:`bind_plans` step.
+        Bound plans come from the process-wide cache.  The rest get
+        their structural plans (shared by every config, lowered once per
+        process and once per machine with a store attached): the missing
+        ones are lowered one at a time into one streamed
+        :func:`~repro.models.plan.compile_plans` call, and all are bound
+        together in one :func:`bind_plans` step.
         """
         config = self.device.config
         model_key = self.model.plan_key()
@@ -188,15 +183,21 @@ class IterationExecutor:
             (model_key, kind, inputs.batch, inputs.seq_len, inputs.tgt_len)
             for inputs in inputs_seq
         ]
+        shapes = dict(zip(keys, inputs_seq))
         plans = [PLAN_CACHE.lookup((*key, config)) for key in keys]
-        unbound = [i for i, plan in enumerate(plans) if plan is None]
+        unbound = [key for key, plan in zip(keys, plans) if plan is None]
         if unbound:
-            structural = [
-                self._structural_plan(keys[i], inputs_seq[i], kind)
-                for i in unbound
+            lower = self._lower(kind)
+            structural = PLAN_CACHE.get_or_compile_many(
+                unbound,
+                lambda key: lower(shapes[key], None),
+                lambda key: self._fingerprint(kind, shapes[key]),
+            )
+            bound = iter(bind_plans(structural, config))
+            plans = [
+                PLAN_CACHE.publish((*key, config), next(bound)) if plan is None else plan
+                for key, plan in zip(keys, plans)
             ]
-            for i, plan in zip(unbound, bind_plans(structural, config)):
-                plans[i] = PLAN_CACHE.publish((*keys[i], config), plan)
         return plans
 
     def run(self, inputs: IterationInputs) -> IterationResult:

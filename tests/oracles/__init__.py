@@ -2,13 +2,14 @@
 checked against.
 
 Each layer of ``repro`` ships one path: batched lowering and timing,
-one segmented fold per executor call, shape-memoized epochs,
-column-wise batch formation, shape-memoized serving, length-column
-corpora.  The per-invocation, per-plan, per-iteration, per-request,
-per-batch and per-sample loops those paths replaced live here,
-unchanged in substance, as the ground truth of the bit-identity tests
-and the baseline of the speedup benches (``benchmarks/`` put
-``tests/`` on ``sys.path`` to import them).
+one streamed compile and one segmented fold per executor call,
+shape-memoized epochs, column-wise batch formation, shape-memoized
+serving, length-column corpora.  The per-schedule, per-invocation,
+per-plan, per-iteration, per-request, per-batch and per-sample loops
+those paths replaced live here, unchanged in substance, as the ground
+truth of the bit-identity tests and the baseline of the speedup
+benches (``benchmarks/`` put ``tests/`` on ``sys.path`` to import
+them).
 """
 
 from .data import Sample, split_samples
@@ -18,6 +19,7 @@ from .kernels import (
     charge_reference,
     select_reference,
 )
+from .plan import compile_plan_reference
 from .reduction import reduce_plan, reduce_plans, sequential_sum
 from .traffic import form_batches_scalar, serve_scalar
 from .train import (
@@ -35,6 +37,7 @@ __all__ = [
     "ScalarExecutor",
     "candidate_variants",
     "charge_reference",
+    "compile_plan_reference",
     "epoch_records_reference",
     "form_batches_scalar",
     "reduce_plan",
