@@ -1,6 +1,6 @@
 """Plan compile bench: per-schedule reference vs one streamed batch compile.
 
-Lowers ``--shapes`` fresh forward shapes of GNMT and of DS2 without a
+Lowers :data:`SHAPES` fresh forward shapes of GNMT and of DS2 without a
 hardware config (the structural lowering a traffic op compiles for its
 new ragged batches) and compiles them twice:
 
@@ -12,7 +12,7 @@ new ragged batches) and compiles them twice:
 
 Both get the same schedule objects; their plans are asserted
 bit-identical (work columns compared as int64 bits).  Times are
-min-of-``--repeats``.  Each network's batched row also reports
+min-of-:data:`REPEATS`; ``--smoke`` runs 64 shapes twice.  Each network's batched row also reports
 ``tracked_per_shape``: the garbage-collector-tracked objects the
 process keeps per new shape when lowering is streamed into
 ``compile_plans`` from cold lowering caches, as the executor does.
@@ -48,6 +48,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from oracles import compile_plan_reference  # noqa: E402
 
 NETWORKS = {"gnmt": build_gnmt, "ds2": build_ds2}
+SHAPES = 1000
+REPEATS = 5
+SEED = 0
 
 
 def fresh_shapes(count: int, seed: int) -> list[IterationInputs]:
@@ -115,23 +118,17 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
                         help="64 shapes per network, 2 repeats (CI)")
-    parser.add_argument("--shapes", type=int, default=1000,
-                        help="fresh shapes per network (default 1000)")
-    parser.add_argument("--repeats", type=int, default=5,
-                        help="trials per path; min is reported (default 5)")
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--json", default=None, metavar="PATH",
                         help="write machine-readable results (BENCH_*.json schema)")
     args = parser.parse_args(argv)
-    if args.smoke:
-        args.shapes, args.repeats = 64, 2
+    shapes, repeats = (64, 2) if args.smoke else (SHAPES, REPEATS)
 
     results = []
     for network in NETWORKS:
-        measured = run(network, args.shapes, args.repeats, args.seed)
+        measured = run(network, shapes, repeats, SEED)
         speedup = measured["reference_s"] / measured["batched_s"]
         print(
-            f"{network:5s} {args.shapes} shapes  "
+            f"{network:5s} {shapes} shapes  "
             f"reference {measured['reference_s'] * 1e3:8.1f} ms   "
             f"batched {measured['batched_s'] * 1e3:8.1f} ms   ({speedup:.2f}x)   "
             f"tracked objects/shape {measured['tracked_per_shape']:.1f}"
@@ -144,7 +141,7 @@ def main(argv=None) -> int:
         ]
 
     if args.json is not None:
-        payload = {"bench": "plan_compile", "scale": args.shapes, "results": results}
+        payload = {"bench": "plan_compile", "scale": shapes, "results": results}
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=1, sort_keys=True)
             handle.write("\n")

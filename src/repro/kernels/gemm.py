@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.errors import KernelSelectionError
 from repro.hw.config import HardwareConfig
-from repro.hw.timing import HashSlot, WorkBatch, time_work_batch
+from repro.hw.timing import WorkBatch, time_work_batch
 from repro.kernels.base import FLOAT_BYTES, KernelInvocation, make_invocation
 
 __all__ = [
@@ -331,7 +331,7 @@ def clear_gemm_caches() -> None:
 
 
 @dataclass(frozen=True, slots=True)
-class GemmRequest(HashSlot):
+class GemmRequest:
     """A GEMM launch before variant selection: the problem and its
     reporting group, with no hardware configuration.
 
@@ -347,16 +347,6 @@ class GemmRequest(HashSlot):
     op = "gemm"
     #: Family name: the variant (and so the kernel name) is unresolved.
     name = "gemm"
-
-    def __hash__(self) -> int:
-        # Cached like KernelInvocation's: plan compiles merge requests
-        # by equality.  Matches the generated hash.
-        try:
-            return self._hash
-        except AttributeError:
-            cached = hash((self.group, self.shape))
-            object.__setattr__(self, "_hash", cached)
-            return cached
 
 
 @lru_cache(maxsize=65536)

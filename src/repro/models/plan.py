@@ -308,14 +308,18 @@ def compile_plans(
         ([0], np.cumsum(np.bincount(plan_of_entry[gemm_entries], minlength=plans)))
     ).tolist()
 
+    # Each plan copies its rows out of the call-wide tables, so a cached
+    # plan owns its memory and keeps none of its siblings' alive.
+    row_ints = np.stack((counts, group_id, name_id))
     compiled: list[SchedulePlan | StructuralPlan] = []
     for j in range(plans):
         lo, hi = row_starts[j], row_starts[j + 1]
+        plan_counts, plan_group_id, plan_name_id = row_ints[:, lo:hi].copy()
         fields = dict(
-            work=WorkBatch(*table[:, lo:hi]),
-            counts=counts[lo:hi],
-            group_id=group_id[lo:hi],
-            name_id=name_id[lo:hi],
+            work=WorkBatch(*table[:, lo:hi].copy()),
+            counts=plan_counts,
+            group_id=plan_group_id,
+            name_id=plan_name_id,
             groups=tuple(group_names[token] for token in plan_groups[j]),
             names=tuple(kernel_names[token] for token in plan_names[j]),
             gemm_shapes=tuple(launch_shapes[launch_starts[j] : launch_starts[j + 1]]),
@@ -327,8 +331,8 @@ def compile_plans(
             compiled.append(
                 StructuralPlan(
                     **fields,
-                    gemm_rows=gemm_rows[first:last],
-                    gemm_dims=gemm_dims[first:last],
+                    gemm_rows=gemm_rows[first:last].copy(),
+                    gemm_dims=gemm_dims[first:last].copy(),
                 )
             )
     return compiled
@@ -522,6 +526,7 @@ class PlanStore:
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         self._lock = Lock()
+        self._key_locks: dict[str, Lock] = {}
         self.hits = 0
         self.misses = 0
         self.quarantined = 0
@@ -542,13 +547,16 @@ class PlanStore:
     ) -> Plan:
         """The stored plan for ``fingerprint``, building it on a miss.
 
-        The whole miss runs under the per-key file lock, so concurrent
-        processes racing on one fingerprint produce exactly one
-        lowering — the loser blocks, then loads the winner's artefact.
+        The whole miss runs under a per-key lock — threads on an
+        in-process lock, processes on an advisory file lock — so callers
+        racing on one fingerprint produce exactly one lowering: the
+        loser blocks, then loads the winner's artefact.
         """
         key = self.key_for(fingerprint)
         path = self._path(key)
-        with file_lock(self.directory, key):
+        with self._lock:
+            key_lock = self._key_locks.setdefault(key, Lock())
+        with key_lock, file_lock(self.directory, key):
             plan = self._load(path)
             if plan is not None:
                 with self._lock:

@@ -171,6 +171,23 @@ class TestCompilePlansMatchesReference:
         assert plans[3].gemm_rows.tolist() == [1]
         assert isinstance(plans[2], SchedulePlan)
 
+    def test_plans_own_their_arrays(self):
+        """No plan holds a view of a table its siblings share, so a
+        cached plan keeps only its own rows alive."""
+        model = _MODELS["gnmt"]
+        plans = compile_plans(
+            model.lower_forward(IterationInputs(batch, 9, 7), None) for batch in (2, 3)
+        )
+
+        def arrays(plan):
+            fields = [getattr(plan, field.name) for field in dataclasses.fields(plan)]
+            fields += [getattr(plan.work, field.name) for field in dataclasses.fields(plan.work)]
+            return [value for value in fields if isinstance(value, np.ndarray)]
+
+        assert all(
+            not np.shares_memory(a, b) for a in arrays(plans[0]) for b in arrays(plans[1])
+        )
+
     def test_compile_plan_is_a_call_of_one(self):
         schedule = _MODELS["gnmt"].lower_iteration(IterationInputs(16, 20, 18), None)
         assert_same_plan(compile_plan(schedule), compile_plan_reference(schedule))
@@ -251,7 +268,7 @@ class TestSlottedRecords:
     def test_pickle_never_carries_the_cached_hash(self, monkeypatch):
         records = [_invocation("pickled", 128), GemmRequest(group="GEMM-1", shape=(8, 16, 32))]
         for record in records:
-            hash(record)  # fills the slot
+            hash(record)  # fills any cached-hash slot
             assert pickle.loads(pickle.dumps(record)) == record
         seed = "4242" if os.environ.get("PYTHONHASHSEED") != "4242" else "4243"
         monkeypatch.setenv("PYTHONHASHSEED", seed)

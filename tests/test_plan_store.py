@@ -8,6 +8,7 @@ scope cleanly when attached to the process-global PLAN_CACHE.
 
 import multiprocessing
 import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from repro.models.gnmt import GnmtModel
 from repro.models.plan import PLAN_CACHE, PlanCache, PlanStore, compile_plan
 from repro.models.spec import IterationInputs, Model
 from repro.models.transformer import TransformerModel
+from repro.util import filelock
 
 
 def tiny_plan():
@@ -241,6 +243,44 @@ class TestConcurrency:
         )
         assert counted == [(0, 1), (1, 0)]
         assert outcomes[0]["launches"] == outcomes[1]["launches"]
+
+
+    def test_two_threads_one_lowering_without_file_locks(self, tmp_path, monkeypatch):
+        # Where fcntl is missing the file lock is a no-op; threads of one
+        # process must still lower a key once, not stage the same file twice.
+        monkeypatch.setattr(filelock, "fcntl", None)
+        store = PlanStore(tmp_path)
+        building, release = threading.Event(), threading.Event()
+        builds = []
+
+        def build():
+            builds.append(threading.get_ident())
+            building.set()
+            assert release.wait(timeout=60)
+            return tiny_plan()
+
+        results = []
+        threads = [
+            threading.Thread(
+                target=lambda: results.append(store.get_or_compute({"k": 1}, build))
+            )
+            for _ in range(2)
+        ]
+        threads[0].start()
+        assert building.wait(timeout=60)
+        threads[1].start()
+        threads[1].join(timeout=0.2)
+        assert threads[1].is_alive()  # waiting on the key, not building
+        release.set()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+
+        assert len(builds) == 1
+        assert_plans_equal(results[0], results[1])
+        stats = store.stats()
+        assert (stats["hits"], stats["misses"], stats["entries"]) == (1, 1, 1)
+        assert not list(tmp_path.glob("*.tmp"))
 
 
 class TestSweepIntegration:
